@@ -33,8 +33,10 @@
 //! spontaneously before a given round. The executor then steps a node only
 //! when mail arrives or its wake round is due, and fast-forwards whole
 //! rounds when the network is globally idle, attributing the skipped rounds
-//! to the current stage census exactly as if they had been executed. The
-//! default hint (`Some(0)`) reproduces the legacy step-every-round behavior.
+//! to the current stage census exactly as if they had been executed. Only
+//! the latest hint of a node is live: a hint superseded by a later step
+//! never fires. The default hint (`Some(0)`) reproduces the legacy
+//! step-every-round behavior.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -98,9 +100,10 @@ pub trait NodeProgram {
     /// `r` with `after < r < w` must leave the node's entire observable
     /// state unchanged and send nothing. `None` promises the node is purely
     /// message-driven until further notice. Arrival of a message always
-    /// wakes a node regardless of the hint, and a hinted node may still be
-    /// stepped *earlier* than its hint (a stale earlier hint is allowed to
-    /// fire; by the same contract such a step is a no-op).
+    /// wakes a node regardless of the hint, and every step asks for a fresh
+    /// hint that replaces the previous one: the executor keeps one live
+    /// wake per node, so a superseded hint never fires and, with an empty
+    /// inbox, a node is stepped only at the round its latest hint names.
     ///
     /// The default, `Some(0)`, requests a step every round — the legacy
     /// behavior, always safe. Returning accurate hints is purely a
@@ -155,8 +158,11 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     /// deterministic order: grouped per sending neighbor in contiguous FIFO
     /// blocks, neighbors in ascending node-id order (the order the
     /// sequential executor produces by stepping senders in id order).
+    ///
+    /// The slice borrows the executor's buffer, not the context, so a
+    /// program can iterate it while calling [`RoundCtx::send`].
     #[inline]
-    pub fn inbox(&self) -> &[(PortId, M)] {
+    pub fn inbox(&self) -> &'a [(PortId, M)] {
         self.inbox
     }
 
@@ -312,13 +318,16 @@ struct Shard<'a, P: NodeProgram> {
     /// Nodes (global ids) with mail in the round being assembled.
     touched: Vec<NodeId>,
     actives: Vec<NodeId>,
-    /// Wake heap, `(due round, node)` with lazy deletion: stale earlier
-    /// entries pop as no-op steps (guaranteed harmless by the
-    /// [`NodeProgram::next_wake`] contract). Only *far* wakes (beyond the
-    /// next round) live here; the overwhelmingly common "step me again next
+    /// Wake heap, `(due round, node)`. Only *far* wakes (beyond the next
+    /// round) live here; the overwhelmingly common "step me again next
     /// round" hint takes the O(1) [`Self::due`] path instead, so a dense
-    /// always-active workload never pays the heap's O(log n) per step.
+    /// always-active workload never pays the heap's O(log n) per step. An
+    /// entry is live only while it matches [`Self::armed`]; superseded
+    /// entries are dropped when they surface.
     wake: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// Per owned node: the round of its one live `wake` entry (`u64::MAX`
+    /// = none armed).
+    armed: Vec<u64>,
     /// Nodes due at the next executed round, whatever its number (a wake
     /// for round + 1 stays valid across a fast-forward: firing at a later
     /// round is exactly the heap's `w <= round` pop rule).
@@ -384,6 +393,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             touched: Vec::new(),
             actives: Vec::new(),
             wake: BinaryHeap::new(),
+            armed: vec![u64::MAX; count],
             // Every node gets an initial step at the first executed round,
             // like the legacy executor; its own hints take over from there.
             due: (lo..lo + count).collect(),
@@ -421,17 +431,33 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         batch.clear();
     }
 
+    /// The earliest live far wake, dropping superseded heap entries that
+    /// surface on the way.
+    fn live_wake(&mut self) -> Option<u64> {
+        while let Some(&Reverse((w, v))) = self.wake.peek() {
+            let ni = v - self.lo;
+            if self.armed[ni] == w {
+                return Some(w);
+            }
+            self.wake.pop();
+        }
+        None
+    }
+
     /// Executes one round over this shard's active set.
     fn execute(&mut self, round: u64) -> RoundSummary {
         self.actives.clear();
         self.actives.append(&mut self.touched);
         self.actives.append(&mut self.due);
-        while let Some(&Reverse((w, v))) = self.wake.peek() {
+        while let Some(w) = self.live_wake() {
             if w > round {
                 break;
             }
-            self.wake.pop();
-            self.actives.push(v);
+            if let Some(Reverse((_, v))) = self.wake.pop() {
+                let ni = v - self.lo;
+                self.armed[ni] = u64::MAX;
+                self.actives.push(v);
+            }
         }
         self.actives.sort_unstable();
         self.actives.dedup();
@@ -557,12 +583,20 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 self.prev_tag[ni] = t;
             }
             let hint = if self.cfg.wake_hints { node.next_wake(round) } else { Some(round + 1) };
-            if let Some(w) = hint {
-                if w <= round + 1 {
-                    self.due.push(v);
-                } else {
-                    self.wake.push(Reverse((w, v)));
+            match hint {
+                Some(w) if w > round + 1 => {
+                    // Re-arm only when the hint moved; the entry already in
+                    // the heap serves an unchanged one.
+                    if self.armed[ni] != w {
+                        self.armed[ni] = w;
+                        self.wake.push(Reverse((w, v)));
+                    }
                 }
+                Some(_) => {
+                    self.armed[ni] = u64::MAX;
+                    self.due.push(v);
+                }
+                None => self.armed[ni] = u64::MAX,
             }
         }
 
@@ -571,9 +605,9 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             done: self.done,
             census: self.census.clone(),
             next_due: if self.due.is_empty() {
-                // Everything <= round was popped above, so the peek is the
-                // true minimum over both wake structures.
-                self.wake.peek().map(|&Reverse((w, _))| w)
+                // Everything <= round was popped above, so the live top is
+                // the true minimum over both wake structures.
+                self.live_wake()
             } else {
                 Some(round + 1)
             },
@@ -1080,6 +1114,51 @@ mod tests {
         assert_eq!(stats.rounds_in_stage("z"), 6);
         assert_eq!(stats.messages, 0);
         assert!(net.nodes().iter().all(|n| n.fired));
+    }
+
+    /// Sleeps toward `wake`; each delivery pushes the wake 3 rounds later.
+    /// Sends one message to port 0 at round `send_at`, if set.
+    struct Mover {
+        wake: u64,
+        send_at: Option<u64>,
+        stepped: Vec<u64>,
+    }
+    impl NodeProgram for Mover {
+        type Msg = ();
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, ()>) {
+            self.stepped.push(ctx.round());
+            if self.send_at == Some(ctx.round()) {
+                self.send_at = None;
+                ctx.send(0, ());
+            }
+            if !ctx.inbox().is_empty() {
+                self.wake += 3;
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.send_at.is_none() && self.stepped.last().is_some_and(|&r| r >= self.wake)
+        }
+        fn next_wake(&self, after: u64) -> Option<u64> {
+            (after < self.wake).then_some(self.wake)
+        }
+    }
+
+    #[test]
+    fn superseded_far_wake_never_fires() {
+        for shards in [1, 2] {
+            // Node 0 sleeps toward round 5; node 1's message (sent in round
+            // 2, delivered in round 3) moves that hint to round 8.
+            let mut net = Network::new(pair(), |i| Mover {
+                wake: if i.id == 0 { 5 } else { 2 },
+                send_at: (i.id == 1).then_some(2),
+                stepped: Vec::new(),
+            });
+            let stats = net.run(&RunConfig { shards, ..RunConfig::congest() }).unwrap();
+            assert_eq!(stats.rounds, 9);
+            // Not stepped at the stale round 5.
+            assert_eq!(net.nodes()[0].stepped, [0, 3, 8], "shards = {shards}");
+            assert_eq!(net.nodes()[1].stepped, [0, 2], "shards = {shards}");
+        }
     }
 
     #[test]

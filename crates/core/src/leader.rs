@@ -148,7 +148,7 @@ impl NodeProgram for LeaderNode {
                 ctx.send(q, LeadMsg::Propose { id: self.id });
             }
         }
-        let inbox: Vec<(usize, LeadMsg)> = ctx.inbox().to_vec();
+        let inbox = ctx.inbox();
 
         // Adopt at most once per round — the largest proposed id — so the
         // re-flood stays within the per-edge budget even when many waves
@@ -173,8 +173,8 @@ impl NodeProgram for LeaderNode {
             self.maybe_echo(ctx);
         }
 
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in inbox {
+            match *msg {
                 LeadMsg::Propose { id } => {
                     // Same wave from a non-parent neighbor: immediate ack.
                     // The one propose we just adopted from is our parent —

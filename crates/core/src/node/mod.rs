@@ -367,9 +367,9 @@ pub struct ElkinNode {
     pub(crate) params: Option<Params>,
     pub(crate) sched: Option<Schedule>,
 
-    // Adaptive-schedule phase tracking (ScheduleMode::Adaptive only):
-    // sync-ended phases have no precomputed start, so the node carries the
-    // current phase and its start round explicitly.
+    // Stage B phase tracking: sync-ended adaptive phases have no
+    // precomputed start, so the node carries the current phase and its
+    // start round explicitly (in Fixed mode, the nominal start).
     pub(crate) b_phase: u32,
     pub(crate) b_phase_start: u64,
     /// Pending transition agreed via `SyncStart`: `(next phase, start
@@ -581,8 +581,9 @@ impl ElkinNode {
 }
 
 /// The wake-guard table: one row per wire tag, mirroring
-/// `(tag, census stage letter, the next_wake helper that schedules the
-/// stage's spontaneous rounds)`.
+/// `(tag, census stage letter, the guard that schedules the stage's
+/// spontaneous rounds)`. Stage B names `b_duty`, the single guard of its
+/// window dispatch, which `b_next_wake` walks to find the next wake.
 ///
 /// This is the contract that `dmst-analysis`'s `tag-guard` rule enforces
 /// both ways: every tag `Msg::tag()` can return must appear here (so a new
@@ -593,13 +594,13 @@ impl ElkinNode {
 /// cross-checks the table against the enum at test time.
 pub(crate) const TAG_GUARDS: &[(&str, char, &str)] = &[
     ("a:bfs", 'a', "next_wake"),
-    ("b:announce", 'b', "b_next_wake"),
-    ("b:color", 'b', "b_next_wake"),
-    ("b:connect", 'b', "b_next_wake"),
-    ("b:match", 'b', "b_next_wake"),
-    ("b:merge", 'b', "b_next_wake"),
-    ("b:mwoe", 'b', "b_next_wake"),
-    ("b:sync", 'b', "b_next_wake"),
+    ("b:announce", 'b', "b_duty"),
+    ("b:color", 'b', "b_duty"),
+    ("b:connect", 'b', "b_duty"),
+    ("b:match", 'b', "b_duty"),
+    ("b:merge", 'b', "b_duty"),
+    ("b:mwoe", 'b', "b_duty"),
+    ("b:sync", 'b', "b_duty"),
     ("c:intervals", 'c', "cd_next_wake"),
     ("d:announce", 'd', "cd_next_wake"),
     ("d:downcast", 'd', "cd_next_wake"),

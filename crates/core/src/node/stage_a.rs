@@ -15,9 +15,8 @@ use super::{ElkinNode, Stage};
 impl ElkinNode {
     pub(crate) fn a_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         let round = ctx.round();
-        let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 Msg::Bfs => {
                     if !self.a.seen {
                         self.a.seen = true;
@@ -55,7 +54,7 @@ impl ElkinNode {
                         ctx.send(p, Msg::Params { n, h, k, t0 });
                     }
                 }
-                other => unreachable!("stage A received {other:?}"),
+                _ => unreachable!("stage A received {msg:?}"),
             }
         }
     }

@@ -29,40 +29,42 @@
 //!    floods `NewFrag`, re-orienting parent pointers and installing the new
 //!    fragment id. Every edge that joins two fragments is marked MST at
 //!    both endpoints the moment it is used.
+//!
+//! Between window edges everything is message-driven (`b_handle`). The
+//! spontaneous actions happen only at window edges, and only where
+//! [`ElkinNode::b_duty`] holds: it is the single guard of `b_dispatch`
+//! and the predicate the wake hint `b_next_wake` walks, so a vertex with
+//! an empty inbox is stepped exactly at the edges where it has work.
+//! Both schedule modes share one phase-relative path: Fixed mode is the
+//! case in which every phase ends on schedule at its nominal start.
 
 use congest_sim::{PortId, RoundCtx};
 
 use crate::candidate::CandKey;
 use crate::cv;
 use crate::msg::Msg;
-use crate::schedule::{ExchangeKind, MergeControl, Schedule, ScheduleMode, Slot, Window};
+use crate::schedule::{ExchangeKind, MergeControl, Schedule, Slot, Window};
 
 use super::{BScratch, ElkinNode, Sel, Stage};
 
 impl ElkinNode {
     /// Called once when Stage B begins (round `t0`).
     pub(crate) fn b_enter(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.as_ref().expect("schedule set with params");
+        let sched = self.sched.expect("schedule set with params");
         // Zero-phase schedules (k = 1) fall straight through to Stage C.
         if sched.num_phases() == 0 {
             self.stage = Stage::CD;
             self.cd_enter(ctx);
             return;
         }
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => self.b_act_inner(ctx),
-            ScheduleMode::Adaptive => {
-                self.b_phase = 0;
-                self.b_phase_start = ctx.round();
-                self.b_act_adaptive(ctx);
-            }
-        }
+        self.b_phase = 0;
+        self.b_phase_start = ctx.round();
+        self.b_act(ctx);
     }
 
     pub(crate) fn b_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 Msg::FragAnnounce { frag, me } => {
                     self.ports.set_nbr_frag(port, frag);
                     self.ports.set_nbr_id(port, me);
@@ -255,49 +257,24 @@ impl ElkinNode {
                         ctx.send(q, Msg::SyncStart { phase, start });
                     }
                 }
-                other => unreachable!("stage B received {other:?}"),
+                _ => unreachable!("stage B received {msg:?}"),
             }
         }
     }
 
+    /// Applies any due phase transition (scheduled end or agreed
+    /// `SyncStart`), then dispatches the slot relative to the current phase
+    /// start; sync-ended phases run the settle protocol during their
+    /// open-ended merge-flood window. Fixed mode is the case where every
+    /// phase ends on schedule, at its nominal start.
     pub(crate) fn b_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => {
-                let end = self.sched.as_ref().expect("schedule set in stage B").end();
-                if ctx.round() >= end {
-                    self.stage = Stage::CD;
-                    self.cd_enter(ctx);
-                    return;
-                }
-                self.b_act_inner(ctx);
-            }
-            ScheduleMode::Adaptive => self.b_act_adaptive(ctx),
-        }
-    }
-
-    /// Fixed mode: every window boundary is precomputed; locate the
-    /// absolute round and dispatch.
-    fn b_act_inner(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.take().expect("schedule set in stage B");
-        let slot = sched.locate(ctx.round()).expect("round inside stage B");
-        self.b_phase = slot.phase;
-        self.b_dispatch(ctx, &sched, slot);
-        self.sched = Some(sched);
-    }
-
-    /// Adaptive mode: apply any due phase transition (scheduled end or
-    /// agreed `SyncStart`), then dispatch the slot relative to the current
-    /// phase start; sync-ended phases run the settle protocol during their
-    /// open-ended merge-flood window.
-    fn b_act_adaptive(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let sched = self.sched.take().expect("schedule set in stage B");
+        let sched = self.sched.expect("schedule set in stage B");
         let round = ctx.round();
 
         if let Some((phase, start)) = self.b_next {
             if round == start {
                 self.b_next = None;
                 if phase >= sched.num_phases() {
-                    self.sched = Some(sched);
                     self.stage = Stage::CD;
                     self.cd_enter(ctx);
                     return;
@@ -311,7 +288,6 @@ impl ElkinNode {
             // Scheduled phase end: every vertex advances simultaneously.
             let next = self.b_phase + 1;
             if next >= sched.num_phases() {
-                self.sched = Some(sched);
                 self.stage = Stage::CD;
                 self.cd_enter(ctx);
                 return;
@@ -325,39 +301,70 @@ impl ElkinNode {
         if slot.window == Window::MergeFlood && sched.sync_phase(self.b_phase) {
             self.b_sync_tick(ctx);
         }
-        self.sched = Some(sched);
     }
 
     /// Idle-skip hint for Stage B (the `NodeProgram::next_wake` contract):
     /// the next round at which `b_act` does anything with an empty inbox.
     ///
-    /// `b_dispatch` only acts at window boundaries (`offset == 0` or
-    /// `slot.last`) and at phase transitions, so those are the only rounds
-    /// worth waking for; everything in between is message-driven
-    /// (`b_handle`). In an adaptive sync phase the open-ended merge-flood
-    /// window has no future boundary: `b_sync_tick`'s guards only change on
-    /// message receipt or at a boundary — both awake rounds — so between
-    /// them the tick is a no-op and the vertex can sleep until `SyncStart`
-    /// (`b_next`) names the next phase start.
+    /// `b_dispatch` acts only where [`Self::b_duty`] holds, and the duty
+    /// holds only at window edges, so the hint walks the remaining edges of
+    /// the current phase and stops at the first duty; failing that, the
+    /// scheduled phase end (the next Announce, or Stage C). This is exact
+    /// because every field `b_duty` reads changes only on message receipt
+    /// or at this vertex's own step, and both recompute the hint. An agreed
+    /// `SyncStart` (`b_next`) takes priority. A sync-ended phase has no
+    /// scheduled end: `b_sync_tick`'s guards also change only on receipt
+    /// or at an own step, so after the last duty the vertex sleeps until
+    /// mail arrives.
     pub(crate) fn b_next_wake(&self, after: u64) -> Option<u64> {
         let sched = self.sched.as_ref()?;
-        match self.cfg.schedule_mode {
-            ScheduleMode::Fixed => Some(sched.next_boundary(after)),
-            ScheduleMode::Adaptive => {
-                if let Some((_, start)) = self.b_next {
-                    return Some(start);
-                }
-                let rel = after.checked_sub(self.b_phase_start)?;
-                let next = sched.next_boundary_rel(self.b_phase, rel);
-                (next > rel).then_some(self.b_phase_start + next)
-            }
+        if let Some((_, start)) = self.b_next {
+            return Some(start);
+        }
+        let (phase, start) = (self.b_phase, self.b_phase_start);
+        let rel = after.checked_sub(start)?;
+        match sched.next_edge(phase, rel, |slot| self.b_duty(slot)) {
+            Some(edge) => Some(start + edge),
+            None => (!sched.sync_phase(phase)).then(|| start + sched.phase_len(phase)),
         }
     }
 
-    /// Executes one scheduled round: the window actions of `slot`.
-    fn b_dispatch(&mut self, ctx: &mut RoundCtx<'_, Msg>, sched: &Schedule, slot: Slot) {
-        let p = sched.radius(slot.phase);
+    /// Whether this vertex has anything to do at `slot` with an empty
+    /// inbox: the single guard of [`Self::b_dispatch`] and the predicate
+    /// the wake hint walks. False everywhere except at window edges.
+    pub(crate) fn b_duty(&self, slot: Slot) -> bool {
+        let first = slot.offset == 0;
+        let root = self.is_frag_root();
+        let b = &self.b;
+        let part_root = b.participating && root;
+        match slot.window {
+            Window::Announce => true,
+            Window::Probe => first && root,
+            Window::Connect => {
+                (first && root && b.probed && b.probe_pending == 0 && !b.overflow)
+                    || (slot.last && b.out_port.is_some())
+            }
+            Window::Kids | Window::MatchCollect(_) => first && b.participating,
+            Window::Exchange(_) => (first || slot.last) && part_root,
+            Window::MatchAccept(c) => first && part_root && b.color == u64::from(c) && !b.matched,
+            Window::MatchStatus(_) => first && part_root && b.newly_matched,
+            Window::MergeGo => {
+                let fire = match self.cfg.merge_control {
+                    MergeControl::Matched => !b.matched,
+                    MergeControl::Uncontrolled => true,
+                };
+                first && part_root && fire && b.sel != Sel::None
+            }
+            Window::MergeFlood => first,
+        }
+    }
 
+    /// Executes one scheduled round: the window actions of `slot`, if
+    /// [`Self::b_duty`] holds there.
+    fn b_dispatch(&mut self, ctx: &mut RoundCtx<'_, Msg>, sched: &Schedule, slot: Slot) {
+        if !self.b_duty(slot) {
+            return;
+        }
         match slot.window {
             Window::Announce => {
                 debug_assert!(slot.offset == 0);
@@ -371,18 +378,11 @@ impl ElkinNode {
                     ctx.send(q, Msg::FragAnnounce { frag: self.frag_id, me: self.id });
                 }
             }
-            Window::Probe => {
-                if slot.offset == 0 && self.is_frag_root() {
-                    self.b_probe_start(ctx, p);
-                }
-            }
+            Window::Probe => self.b_probe_start(ctx, sched.radius(slot.phase)),
             Window::Connect => {
-                if slot.offset == 0
-                    && self.is_frag_root()
-                    && self.b.probed
-                    && self.b.probe_pending == 0
-                    && !self.b.overflow
-                {
+                // Connect windows span >= 3 rounds, so the duty holds at
+                // offset 0 only under the root's participation guard.
+                if slot.offset == 0 {
                     self.b.participating = true;
                     for &q in &self.frag_children.clone() {
                         ctx.send(q, Msg::Participate);
@@ -410,144 +410,112 @@ impl ElkinNode {
                 }
             }
             Window::Kids => {
-                if slot.offset == 0 && self.b.participating {
-                    self.b.kids_pending = self.frag_children.len();
-                    if self.b.kids_pending == 0 {
-                        self.b_kids_complete(ctx);
-                    }
+                self.b.kids_pending = self.frag_children.len();
+                if self.b.kids_pending == 0 {
+                    self.b_kids_complete(ctx);
                 }
             }
             Window::Exchange(x) => {
-                if slot.offset == 0 && self.b.participating && self.is_frag_root() {
+                if slot.offset == 0 {
                     let color = self.b.color;
                     for &q in &self.frag_children.clone() {
                         ctx.send(q, Msg::ColorDown { color });
                     }
                     self.b_cross_color(ctx, color);
                 }
-                if slot.last && self.b.participating && self.is_frag_root() {
+                if slot.last {
                     self.b_exchange_eval(sched.exchange_kind(x));
                 }
             }
             Window::MatchCollect(_) => {
-                if slot.offset == 0 && self.b.participating {
-                    self.b.col_agg = None;
-                    self.b.col_sel = Sel::None;
-                    if let Some(q) = self.b_local_unmatched_child() {
-                        self.b.col_agg = Some(self.b.foreign_child[q].expect("just found").0);
-                        self.b.col_sel = Sel::Mine(q);
-                    }
-                    self.b.col_pending = self.frag_children.len();
-                    if self.b.col_pending == 0 {
-                        self.b_collect_complete(ctx);
-                    }
+                self.b.col_agg = None;
+                self.b.col_sel = Sel::None;
+                if let Some(q) = self.b_local_unmatched_child() {
+                    self.b.col_agg = Some(self.b.foreign_child[q].expect("just found").0);
+                    self.b.col_sel = Sel::Mine(q);
+                }
+                self.b.col_pending = self.frag_children.len();
+                if self.b.col_pending == 0 {
+                    self.b_collect_complete(ctx);
                 }
             }
-            Window::MatchAccept(c) => {
-                if slot.offset == 0
-                    && self.b.participating
-                    && self.is_frag_root()
-                    && self.b.color == u64::from(c)
-                    && !self.b.matched
-                {
-                    if let Some(child) = self.b.col_agg {
-                        self.b.matched = true;
-                        self.b.newly_matched = true;
-                        self.b.partner = Some(child);
-                        match self.b.col_sel {
-                            Sel::Mine(q) => {
-                                self.b.matched_port = Some(q);
-                                self.ports.mark_mst(q);
-                                ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
-                            }
-                            Sel::Child(ch) => ctx.send(ch, Msg::AcceptPath),
-                            Sel::None => unreachable!("col_agg implies a selection"),
+            Window::MatchAccept(_) => {
+                if let Some(child) = self.b.col_agg {
+                    self.b.matched = true;
+                    self.b.newly_matched = true;
+                    self.b.partner = Some(child);
+                    match self.b.col_sel {
+                        Sel::Mine(q) => {
+                            self.b.matched_port = Some(q);
+                            self.ports.mark_mst(q);
+                            ctx.send(q, Msg::AcceptCross { parent_frag: self.frag_id });
                         }
+                        Sel::Child(ch) => ctx.send(ch, Msg::AcceptPath),
+                        Sel::None => unreachable!("col_agg implies a selection"),
                     }
                 }
             }
             Window::MatchStatus(_) => {
-                if slot.offset == 0
-                    && self.b.participating
-                    && self.is_frag_root()
-                    && self.b.newly_matched
-                {
-                    self.b.newly_matched = false;
-                    for &q in &self.frag_children.clone() {
-                        ctx.send(q, Msg::StatusDown);
-                    }
-                    self.b_status_duties(ctx);
+                self.b.newly_matched = false;
+                for &q in &self.frag_children.clone() {
+                    ctx.send(q, Msg::StatusDown);
                 }
+                self.b_status_duties(ctx);
             }
-            Window::MergeGo => {
-                let fire = match self.cfg.merge_control {
-                    MergeControl::Matched => !self.b.matched,
-                    MergeControl::Uncontrolled => true,
-                };
-                if slot.offset == 0
-                    && self.b.participating
-                    && self.is_frag_root()
-                    && fire
-                    && self.b.sel != Sel::None
-                {
-                    match self.b.sel {
-                        Sel::Mine(q) => {
-                            self.ports.mark_mst(q);
-                            ctx.send(q, Msg::MergeCross);
-                        }
-                        Sel::Child(c) => ctx.send(c, Msg::MergePath),
-                        Sel::None => unreachable!("guarded above"),
-                    }
+            Window::MergeGo => match self.b.sel {
+                Sel::Mine(q) => {
+                    self.ports.mark_mst(q);
+                    ctx.send(q, Msg::MergeCross);
                 }
-            }
+                Sel::Child(c) => ctx.send(c, Msg::MergePath),
+                Sel::None => unreachable!("b_duty requires a selection"),
+            },
             Window::MergeFlood => {
-                if slot.offset == 0 {
-                    let sync = sched.sync_phase(slot.phase);
-                    let initiator = match self.cfg.merge_control {
-                        // Higher-id root of the matched pair floods.
-                        MergeControl::Matched => {
-                            self.b.participating
-                                && self.is_frag_root()
-                                && self.b.matched
-                                && self.b.partner.is_some_and(|pid| pid < self.frag_id)
-                        }
-                        // Higher-id side of the (unique) mutual MWOE floods.
-                        MergeControl::Uncontrolled => {
-                            self.b.participating
-                                && self.is_frag_root()
-                                && self.b.partner.is_some_and(|pid| pid < self.frag_id)
-                        }
-                    };
-                    if initiator {
-                        self.b_flood_init(ctx, sync);
-                    } else if !self.b.participating && !self.b.merge_ports.is_empty() {
-                        // Big-fragment attachment points adopt the pendants
-                        // without re-flooding their own fragment.
-                        let id = self.frag_id;
-                        let ports = self.b.merge_ports.clone();
-                        for &q in &ports {
-                            ctx.send(q, Msg::NewFrag { id });
-                            if !self.frag_children.contains(&q) {
-                                self.frag_children.push(q);
-                            }
-                        }
-                        if sync {
-                            self.b.ack_pending = ports.len();
-                            self.b.flood_fwd = ports;
-                        }
-                        self.b.merge_ports.clear();
+                let sync = sched.sync_phase(slot.phase);
+                let initiator = match self.cfg.merge_control {
+                    // Higher-id root of the matched pair floods.
+                    MergeControl::Matched => {
+                        self.b.participating
+                            && self.is_frag_root()
+                            && self.b.matched
+                            && self.b.partner.is_some_and(|pid| pid < self.frag_id)
                     }
-                    if sync
-                        && !initiator
-                        && self.is_frag_root()
-                        && !(self.b.participating && (self.b.matched || self.b.sel != Sel::None))
-                    {
-                        // No merge flood can enter this fragment (it is
-                        // non-participating, or participating but unmatched
-                        // with no outgoing edge): settle the whole fragment.
-                        self.b.settled = true;
-                        self.b_send_no_flood(ctx, slot.phase);
+                    // Higher-id side of the (unique) mutual MWOE floods.
+                    MergeControl::Uncontrolled => {
+                        self.b.participating
+                            && self.is_frag_root()
+                            && self.b.partner.is_some_and(|pid| pid < self.frag_id)
                     }
+                };
+                if initiator {
+                    self.b_flood_init(ctx, sync);
+                } else if !self.b.participating && !self.b.merge_ports.is_empty() {
+                    // Big-fragment attachment points adopt the pendants
+                    // without re-flooding their own fragment.
+                    let id = self.frag_id;
+                    let ports = self.b.merge_ports.clone();
+                    for &q in &ports {
+                        ctx.send(q, Msg::NewFrag { id });
+                        if !self.frag_children.contains(&q) {
+                            self.frag_children.push(q);
+                        }
+                    }
+                    if sync {
+                        self.b.ack_pending = ports.len();
+                        self.b.flood_fwd = ports;
+                    }
+                    self.b.merge_ports.clear();
+                }
+                if sync
+                    && !initiator
+                    && self.is_frag_root()
+                    && !(self.b.participating && (self.b.matched || self.b.sel != Sel::None))
+                {
+                    // No merge flood can enter this fragment (it is
+                    // non-participating, or participating but unmatched
+                    // with no outgoing edge): settle the whole fragment.
+                    self.b.settled = true;
+                    self.b_send_no_flood(ctx, slot.phase);
                 }
             }
         }
@@ -556,8 +524,7 @@ impl ElkinNode {
     /// Whether the current phase ends by the sync protocol (adaptive mode,
     /// flood window worse than a tree sync).
     fn b_sync_active(&self) -> bool {
-        self.cfg.schedule_mode == ScheduleMode::Adaptive
-            && self.sched.as_ref().is_some_and(|s| s.sync_phase(self.b_phase))
+        self.sched.is_some_and(|s| s.sync_phase(self.b_phase))
     }
 
     /// Broadcasts `SyncNoFlood` to the old fragment children, skipping any

@@ -98,9 +98,8 @@ impl ElkinNode {
     }
 
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let inbox: Vec<(usize, Msg)> = ctx.inbox().to_vec();
-        for (port, msg) in inbox {
-            match msg {
+        for &(port, ref msg) in ctx.inbox() {
+            match *msg {
                 Msg::Interval { start, .. } => self.cd_take_interval(ctx, start),
                 Msg::InitCoarse { id } => {
                     self.coarse = id;
@@ -220,7 +219,7 @@ impl ElkinNode {
                     Sel::None => unreachable!("MarkPath reached a subtree without a candidate"),
                 },
                 Msg::MarkCross => self.ports.mark_mst(port),
-                other => unreachable!("stage C/D received {other:?}"),
+                _ => unreachable!("stage C/D received {msg:?}"),
             }
         }
     }

@@ -181,15 +181,165 @@ pub struct Slot {
     pub last: bool,
 }
 
+/// The closed-form window layout of one phase: a head of single windows
+/// (Announce, Probe, Connect, and — matched only — Kids), `ex` equal
+/// Cole–Vishkin exchanges, `tri` identical matching triples (Collect,
+/// Accept, Status), then MergeGo and the open-ended MergeFlood. Built on
+/// the fly from a handful of integers, so a lookup allocates nothing and
+/// no per-vertex table exists.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    /// Participation radius `2^i`.
+    p: u64,
+    /// Per-window padding beyond the provable minimum: 0 in adaptive
+    /// mode, the seed's slack in fixed mode (see the module table).
+    pad: u64,
+    /// Head windows: 4 matched (with Kids), 3 uncontrolled.
+    head: usize,
+    /// Exchange windows: `X` matched, 0 uncontrolled.
+    ex: usize,
+    /// Matching triples: 3 matched, 0 uncontrolled.
+    tri: usize,
+    /// MergeGo length.
+    go: u64,
+    /// Nominal MergeFlood length.
+    flood: u64,
+}
+
+impl Layout {
+    fn new(phase: u32, exchanges: u32, merge: MergeControl, mode: ScheduleMode, n: u64) -> Self {
+        let p = 1u64 << phase;
+        let pad = u64::from(mode == ScheduleMode::Fixed);
+        let flood = match (merge, mode) {
+            (MergeControl::Matched, ScheduleMode::Fixed) => 6 * p + 6,
+            (MergeControl::Matched, ScheduleMode::Adaptive) => 5 * p + 5,
+            (MergeControl::Uncontrolled, _) => n + 2 * p + 6,
+        };
+        match merge {
+            MergeControl::Matched => {
+                Self { p, pad, head: 4, ex: exchanges as usize, tri: 3, go: p + 2, flood }
+            }
+            MergeControl::Uncontrolled => {
+                Self { p, pad, head: 3, ex: 0, tri: 0, go: 2 * p + 2 + 2 * pad, flood }
+            }
+        }
+    }
+
+    /// Announce, Probe, Connect, Kids.
+    fn head_len(&self, i: usize) -> u64 {
+        let (p, pad) = (self.p, self.pad);
+        [1, 2 * p + 1 + pad, p + 2 + pad, p + 1 + pad][i]
+    }
+
+    fn exchange_len(&self) -> u64 {
+        2 * self.p + 2 + self.pad
+    }
+
+    /// Collect, Accept, Status.
+    fn triple_len(&self, j: usize) -> u64 {
+        let (p, pad) = (self.p, self.pad);
+        [p + 1 + pad, 2 * p + 2 + 2 * pad, p + 2 + pad][j]
+    }
+
+    fn triple(&self) -> u64 {
+        (0..3).map(|j| self.triple_len(j)).sum()
+    }
+
+    fn ex_start(&self) -> u64 {
+        (0..self.head).map(|i| self.head_len(i)).sum()
+    }
+
+    fn tri_start(&self) -> u64 {
+        self.ex_start() + self.ex as u64 * self.exchange_len()
+    }
+
+    fn go_start(&self) -> u64 {
+        self.tri_start() + self.tri as u64 * self.triple()
+    }
+
+    /// Total (nominal) phase length.
+    fn len(&self) -> u64 {
+        self.go_start() + self.go + self.flood
+    }
+
+    fn count(&self) -> usize {
+        self.head + self.ex + 3 * self.tri + 2
+    }
+
+    /// `(window, start offset, length)` of window `i < count()`.
+    fn at(&self, i: usize) -> (Window, u64, u64) {
+        const HEAD: [Window; 4] = [Window::Announce, Window::Probe, Window::Connect, Window::Kids];
+        if i < self.head {
+            let start = (0..i).map(|h| self.head_len(h)).sum();
+            return (HEAD[i], start, self.head_len(i));
+        }
+        let x = i - self.head;
+        if x < self.ex {
+            let len = self.exchange_len();
+            return (Window::Exchange(x as u32), self.ex_start() + x as u64 * len, len);
+        }
+        let m = x - self.ex;
+        if m < 3 * self.tri {
+            let (c, j) = (m / 3, m % 3);
+            let start = self.tri_start()
+                + c as u64 * self.triple()
+                + (0..j).map(|t| self.triple_len(t)).sum::<u64>();
+            let c = c as u8;
+            let w = [Window::MatchCollect(c), Window::MatchAccept(c), Window::MatchStatus(c)][j];
+            return (w, start, self.triple_len(j));
+        }
+        if m == 3 * self.tri {
+            (Window::MergeGo, self.go_start(), self.go)
+        } else {
+            (Window::MergeFlood, self.go_start() + self.go, self.flood)
+        }
+    }
+
+    /// Index of the window holding offset `rel`; offsets past the layout
+    /// stay in the (open-ended) MergeFlood window.
+    fn index_of(&self, rel: u64) -> usize {
+        let mut ex_start = 0;
+        for i in 0..self.head {
+            ex_start += self.head_len(i);
+            if rel < ex_start {
+                return i;
+            }
+        }
+        let tri_start = self.tri_start();
+        if rel < tri_start {
+            return self.head + ((rel - ex_start) / self.exchange_len()) as usize;
+        }
+        let go_start = self.go_start();
+        if rel < go_start {
+            let (c, mut r) = ((rel - tri_start) / self.triple(), (rel - tri_start) % self.triple());
+            let mut j = 0;
+            while r >= self.triple_len(j) {
+                r -= self.triple_len(j);
+                j += 1;
+            }
+            return self.head + self.ex + 3 * c as usize + j;
+        }
+        if rel < go_start + self.go {
+            self.count() - 2
+        } else {
+            self.count() - 1
+        }
+    }
+}
+
 /// The fully determined Stage B schedule, identical at every vertex.
 ///
-/// In [`ScheduleMode::Fixed`] the schedule is a pure function of the
-/// broadcast parameters and [`Schedule::locate`] maps absolute rounds to
-/// slots. In [`ScheduleMode::Adaptive`] phases that end by sync have no
-/// predetermined length; the node tracks the current phase's start round
-/// and uses [`Schedule::locate_rel`], with [`Schedule::sync_phase`]
-/// deciding per phase which ending applies.
-#[derive(Clone, Debug)]
+/// The schedule is a pure function of the broadcast parameters: a few
+/// integers, with every window position computed in closed form (no
+/// table), so each vertex's copy is a handful of words. Phases are
+/// addressed relative to their start round: [`Schedule::locate_rel`]
+/// maps an offset to its slot and [`Schedule::next_edge`] walks the
+/// remaining window edges. In [`ScheduleMode::Fixed`] phase starts are
+/// nominal and [`Schedule::locate`] also maps absolute rounds. In
+/// [`ScheduleMode::Adaptive`] phases that end by sync have no
+/// predetermined length; the node tracks the current phase's start round,
+/// with [`Schedule::sync_phase`] deciding per phase which ending applies.
+#[derive(Clone, Copy, Debug)]
 pub struct Schedule {
     t0: u64,
     num_phases: u32,
@@ -198,35 +348,24 @@ pub struct Schedule {
     mode: ScheduleMode,
     n: u64,
     h: u64,
-    /// Start round of each phase (absolute), plus the end sentinel. In
-    /// adaptive mode these are *nominal* (as if every phase ended on
-    /// schedule) and only [`Schedule::phase_len`] of scheduled-end phases
-    /// is meaningful to the executor.
-    phase_starts: Vec<u64>,
 }
 
 impl Schedule {
     /// Builds the schedule from the broadcast parameters.
     pub fn new(params: &Params, merge: MergeControl, mode: ScheduleMode) -> Self {
-        let num_phases = if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 };
-        let exchanges = steps_to_six(params.n) + 6;
-        let mut phase_starts = Vec::with_capacity(num_phases as usize + 1);
-        let mut start = params.t0;
-        for i in 0..num_phases {
-            phase_starts.push(start);
-            start += Self::phase_len_for(i, exchanges, merge, mode, params.n);
-        }
-        phase_starts.push(start);
         Self {
             t0: params.t0,
-            num_phases,
-            exchanges,
+            num_phases: if params.k <= 1 { 0 } else { ceil_log2(params.k) as u32 },
+            exchanges: steps_to_six(params.n) + 6,
             merge,
             mode,
             n: params.n,
             h: params.h,
-            phase_starts,
         }
+    }
+
+    fn layout(&self, phase: u32) -> Layout {
+        Layout::new(phase, self.exchanges, self.merge, self.mode, self.n)
     }
 
     /// Number of Controlled-GHS phases (`ceil(log2 k)`).
@@ -247,7 +386,7 @@ impl Schedule {
     /// First round *after* Stage B (Stage C entry point). Nominal in
     /// adaptive mode (sync-ended phases end earlier or later at run time).
     pub fn end(&self) -> u64 {
-        *self.phase_starts.last().expect("sentinel always present")
+        self.t0 + (0..self.num_phases).map(|i| self.phase_len(i)).sum::<u64>()
     }
 
     /// The participation radius `2^i` of phase `i`.
@@ -260,89 +399,32 @@ impl Schedule {
         self.h
     }
 
-    /// Worst-case merge-flood window of phase `i` under the given merge
-    /// control and schedule mode.
-    fn flood_len_for(phase: u32, merge: MergeControl, mode: ScheduleMode, n: u64) -> u64 {
-        let p = 1u64 << phase;
-        match (merge, mode) {
-            (MergeControl::Matched, ScheduleMode::Fixed) => 6 * p + 6,
-            (MergeControl::Matched, ScheduleMode::Adaptive) => 5 * p + 5,
-            (MergeControl::Uncontrolled, _) => n + 2 * p + 6,
-        }
-    }
-
     /// Whether phase `i` ends by the BFS-tree sync protocol instead of a
     /// scheduled flood window (adaptive mode only; see the module docs).
     /// The rule is a pure function of broadcast data, so every vertex
     /// agrees on it without communication.
     pub fn sync_phase(&self, phase: u32) -> bool {
-        self.mode == ScheduleMode::Adaptive
-            && Self::flood_len_for(phase, self.merge, self.mode, self.n) > 2 * self.h + 5
-    }
-
-    /// The window layout of one phase: `(window, length)` in order.
-    fn layout(&self, phase: u32) -> Vec<(Window, u64)> {
-        let p = self.radius(phase);
-        // Per-window padding beyond the provable minimum: 0 in adaptive
-        // mode, the seed's slack in fixed mode (see the module table).
-        let pad = u64::from(self.mode == ScheduleMode::Fixed);
-        let flood = Self::flood_len_for(phase, self.merge, self.mode, self.n);
-        let mut v = Vec::with_capacity(7 + self.exchanges as usize + 9);
-        v.push((Window::Announce, 1));
-        v.push((Window::Probe, 2 * p + 1 + pad));
-        v.push((Window::Connect, p + 2 + pad));
-        match self.merge {
-            MergeControl::Matched => {
-                v.push((Window::Kids, p + 1 + pad));
-                for x in 0..self.exchanges {
-                    v.push((Window::Exchange(x), 2 * p + 2 + pad));
-                }
-                for c in 0..3u8 {
-                    v.push((Window::MatchCollect(c), p + 1 + pad));
-                    v.push((Window::MatchAccept(c), 2 * p + 2 + 2 * pad));
-                    v.push((Window::MatchStatus(c), p + 2 + pad));
-                }
-                v.push((Window::MergeGo, p + 2));
-                v.push((Window::MergeFlood, flood));
-            }
-            MergeControl::Uncontrolled => {
-                v.push((Window::MergeGo, 2 * p + 2 + 2 * pad));
-                v.push((Window::MergeFlood, flood));
-            }
-        }
-        v
-    }
-
-    fn phase_len_for(
-        phase: u32,
-        exchanges: u32,
-        merge: MergeControl,
-        mode: ScheduleMode,
-        n: u64,
-    ) -> u64 {
-        let p = 1u64 << phase;
-        let pad = u64::from(mode == ScheduleMode::Fixed);
-        let flood = Self::flood_len_for(phase, merge, mode, n);
-        match merge {
-            MergeControl::Matched => {
-                1 + (2 * p + 1 + pad)
-                    + (p + 2 + pad)
-                    + (p + 1 + pad)
-                    + u64::from(exchanges) * (2 * p + 2 + pad)
-                    + 3 * ((p + 1 + pad) + (2 * p + 2 + 2 * pad) + (p + 2 + pad))
-                    + (p + 2)
-                    + flood
-            }
-            MergeControl::Uncontrolled => {
-                1 + (2 * p + 1 + pad) + (p + 2 + pad) + (2 * p + 2 + 2 * pad) + flood
-            }
-        }
+        self.mode == ScheduleMode::Adaptive && self.layout(phase).flood > 2 * self.h + 5
     }
 
     /// Total length of phase `i` in rounds (worst case; the *actual*
     /// length of a sync-ended adaptive phase is decided at run time).
     pub fn phase_len(&self, phase: u32) -> u64 {
-        Self::phase_len_for(phase, self.exchanges, self.merge, self.mode, self.n)
+        self.layout(phase).len()
+    }
+
+    /// Number of windows in every phase: `X + 15` matched (Announce,
+    /// Probe, Connect, Kids, `X` exchanges, three matching triples,
+    /// MergeGo, MergeFlood), 5 uncontrolled.
+    pub fn window_count(&self) -> usize {
+        self.layout(0).count()
+    }
+
+    /// Window `i < window_count()` of phase `phase` as `(window, start
+    /// offset within the phase, length)`, in closed form.
+    pub fn window_at(&self, phase: u32, i: usize) -> (Window, u64, u64) {
+        debug_assert!(i < self.window_count(), "window index {i} out of range");
+        self.layout(phase).at(i)
     }
 
     /// Classifies exchange window `x` as ladder / shift-down / recolor.
@@ -366,76 +448,59 @@ impl Schedule {
     /// [`ScheduleMode::Fixed`] (adaptive phase starts move at run time; use
     /// [`Schedule::locate_rel`]).
     pub fn locate(&self, round: u64) -> Option<Slot> {
-        if round < self.t0 || round >= self.end() {
-            return None;
-        }
-        // phase_starts is sorted; find the phase containing `round`.
-        let phase = match self.phase_starts.binary_search(&round) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        } as u32;
-        Some(self.locate_rel(phase, round - self.phase_starts[phase as usize]))
-    }
-
-    /// The smallest relative offset `> rel` within phase `phase` that is a
-    /// window's first or final round, or the phase length (the phase-end
-    /// transition round) when no such offset remains. These are exactly the
-    /// offsets at which [`crate::node::ElkinNode`] acts spontaneously —
-    /// every window arms its actions at offset 0 and/or its last round — so
-    /// they are the Stage B wake points of the executor's idle-skip
-    /// contract. Returns a value `<= rel` only when `rel` is already at or
-    /// past the phase length (open-ended flood tail): no boundary remains.
-    pub fn next_boundary_rel(&self, phase: u32, rel: u64) -> u64 {
-        let mut start = 0u64;
-        for (_, len) in self.layout(phase) {
-            if start > rel {
-                return start;
+        let mut rel = round.checked_sub(self.t0)?;
+        for phase in 0..self.num_phases {
+            let len = self.phase_len(phase);
+            if rel < len {
+                return Some(self.locate_rel(phase, rel));
             }
-            let last = start + len - 1;
-            if last > rel {
-                return last;
-            }
-            start += len;
+            rel -= len;
         }
-        start
-    }
-
-    /// Absolute-round companion of [`Schedule::next_boundary_rel`] for
-    /// [`ScheduleMode::Fixed`], where phase starts are nominal: the next
-    /// boundary round strictly after `round`. Before `t0` that is `t0`
-    /// itself; at or past [`Schedule::end`] (not a Stage B round) it
-    /// degenerates to `round + 1`.
-    pub fn next_boundary(&self, round: u64) -> u64 {
-        if round < self.t0 {
-            return self.t0;
-        }
-        if round >= self.end() {
-            return round + 1;
-        }
-        let phase = match self.phase_starts.binary_search(&round) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let start = self.phase_starts[phase];
-        start + self.next_boundary_rel(phase as u32, round - start)
+        None
     }
 
     /// Locates round `rel` (0-based) within phase `phase`, independent of
-    /// absolute time. Offsets beyond the nominal layout stay in the
-    /// (open-ended) merge-flood window — that is how sync-ended adaptive
-    /// phases wait for the `SyncStart` broadcast.
+    /// absolute time, in O(1). Offsets beyond the nominal layout stay in
+    /// the (open-ended) merge-flood window — that is how sync-ended
+    /// adaptive phases wait for the `SyncStart` broadcast.
     pub fn locate_rel(&self, phase: u32, rel: u64) -> Slot {
-        let mut off = rel;
         let layout = self.layout(phase);
-        let count = layout.len();
-        for (i, (window, len)) in layout.into_iter().enumerate() {
-            if off < len || i + 1 == count {
-                let last = off + 1 == len;
-                return Slot { phase, window, offset: off, last };
+        let (window, start, len) = layout.at(layout.index_of(rel));
+        let offset = rel - start;
+        Slot { phase, window, offset, last: offset + 1 == len }
+    }
+
+    /// The first window edge — a window's first round or its final round —
+    /// at a relative offset `> rel` within phase `phase` whose slot
+    /// satisfies `duty`, or `None` when no such edge remains in the phase.
+    /// Edges are visited in order, each once (a one-round window is a
+    /// single edge with `offset == 0 && last`).
+    ///
+    /// [`crate::node::ElkinNode`] acts spontaneously only at window edges,
+    /// so walking them with its duty predicate yields its exact Stage B
+    /// wake round; `|_| true` yields the plain next window edge.
+    pub fn next_edge(
+        &self,
+        phase: u32,
+        rel: u64,
+        mut duty: impl FnMut(Slot) -> bool,
+    ) -> Option<u64> {
+        let layout = self.layout(phase);
+        let from = layout.index_of(rel.saturating_add(1));
+        for i in from..layout.count() {
+            let (window, start, len) = layout.at(i);
+            let last = start + len - 1;
+            if start > rel && duty(Slot { phase, window, offset: 0, last: len == 1 }) {
+                return Some(start);
             }
-            off -= len;
+            if last > start
+                && last > rel
+                && duty(Slot { phase, window, offset: len - 1, last: true })
+            {
+                return Some(last);
+            }
         }
-        unreachable!("layout is never empty");
+        None
     }
 }
 
@@ -575,8 +640,98 @@ mod tests {
         assert!(!t.sync_phase(3));
     }
 
+    /// The phase layout straight from the module table, as a plain list:
+    /// the reference the closed-form lookups are checked against.
+    fn naive_layout(s: &Schedule, phase: u32) -> Vec<(Window, u64)> {
+        let p = s.radius(phase);
+        let pad = u64::from(s.mode == ScheduleMode::Fixed);
+        let flood = match (s.merge, s.mode) {
+            (MergeControl::Matched, ScheduleMode::Fixed) => 6 * p + 6,
+            (MergeControl::Matched, ScheduleMode::Adaptive) => 5 * p + 5,
+            (MergeControl::Uncontrolled, _) => s.n + 2 * p + 6,
+        };
+        let mut v = vec![(Window::Announce, 1), (Window::Probe, 2 * p + 1 + pad)];
+        v.push((Window::Connect, p + 2 + pad));
+        match s.merge {
+            MergeControl::Matched => {
+                v.push((Window::Kids, p + 1 + pad));
+                for x in 0..s.exchanges() {
+                    v.push((Window::Exchange(x), 2 * p + 2 + pad));
+                }
+                for c in 0..3u8 {
+                    v.push((Window::MatchCollect(c), p + 1 + pad));
+                    v.push((Window::MatchAccept(c), 2 * p + 2 + 2 * pad));
+                    v.push((Window::MatchStatus(c), p + 2 + pad));
+                }
+                v.push((Window::MergeGo, p + 2));
+            }
+            MergeControl::Uncontrolled => v.push((Window::MergeGo, 2 * p + 2 + 2 * pad)),
+        }
+        v.push((Window::MergeFlood, flood));
+        v
+    }
+
+    /// Every window edge of a phase as `(offset, slot)`, in order.
+    fn naive_edges(s: &Schedule, phase: u32) -> Vec<(u64, Slot)> {
+        let mut edges = Vec::new();
+        let mut start = 0;
+        for (window, len) in naive_layout(s, phase) {
+            edges.push((start, Slot { phase, window, offset: 0, last: len == 1 }));
+            if len > 1 {
+                edges.push((start + len - 1, Slot { phase, window, offset: len - 1, last: true }));
+            }
+            start += len;
+        }
+        edges
+    }
+
     #[test]
-    fn next_boundary_matches_naive_scan() {
+    fn window_at_and_locate_rel_match_naive_layout() {
+        let modes = [ScheduleMode::Fixed, ScheduleMode::Adaptive];
+        let merges = [MergeControl::Matched, MergeControl::Uncontrolled];
+        for n in [4, 64, 1 << 16, 1 << 40] {
+            for (mode, merge) in modes.iter().flat_map(|&m| merges.map(|g| (m, g))) {
+                let s = Schedule::new(&params(n, 64), merge, mode);
+                let tag = format!("n={n} {merge:?}/{mode:?}");
+                for phase in 0..s.num_phases() {
+                    let naive = naive_layout(&s, phase);
+                    assert_eq!(s.window_count(), naive.len(), "{tag}: window count");
+                    let mut start = 0;
+                    for (i, &(window, len)) in naive.iter().enumerate() {
+                        assert_eq!(
+                            s.window_at(phase, i),
+                            (window, start, len),
+                            "{tag}: window {i}"
+                        );
+                        // Every offset of ordinary windows; the edges and
+                        // the middle of the Θ(n) uncontrolled floods.
+                        let offsets: Vec<u64> = if len <= 4096 {
+                            (0..len).collect()
+                        } else {
+                            vec![0, 1, len / 2, len - 2, len - 1]
+                        };
+                        for off in offsets {
+                            let last = off + 1 == len;
+                            assert_eq!(
+                                s.locate_rel(phase, start + off),
+                                Slot { phase, window, offset: off, last },
+                                "{tag}: phase {phase} offset {}",
+                                start + off
+                            );
+                        }
+                        start += len;
+                    }
+                    assert_eq!(s.phase_len(phase), start, "{tag}: phase {phase} length");
+                    let over = s.locate_rel(phase, start + 17);
+                    assert_eq!(over.window, Window::MergeFlood, "{tag}: open-ended flood");
+                    assert!(!over.last);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_edge_matches_naive_scan() {
         for (merge, mode) in [
             (MergeControl::Matched, ScheduleMode::Fixed),
             (MergeControl::Matched, ScheduleMode::Adaptive),
@@ -588,42 +743,60 @@ mod tests {
             let is_boundary = |r: u64| {
                 s.locate(r).map(|slot| slot.offset == 0 || slot.last).unwrap_or(r == s.end())
             };
-            for r in s.start().saturating_sub(2)..s.end() {
-                let nb = s.next_boundary(r);
-                assert!(
-                    nb > r && is_boundary(nb),
-                    "{merge:?}/{mode:?}: bad boundary {nb} after {r}"
-                );
-                for mid in (r + 1)..nb {
+            let mut phase_start = s.start();
+            for phase in 0..s.num_phases() {
+                let len = s.phase_len(phase);
+                for r in phase_start..phase_start + len {
+                    // The node's walk over nominal phase starts with a duty
+                    // that holds everywhere: the next edge, else the phase end.
+                    let nb = s
+                        .next_edge(phase, r - phase_start, |_| true)
+                        .map_or(phase_start + len, |e| phase_start + e);
                     assert!(
-                        !is_boundary(mid),
-                        "{merge:?}/{mode:?}: missed boundary {mid} after {r}"
+                        nb > r && is_boundary(nb),
+                        "{merge:?}/{mode:?}: bad boundary {nb} after {r}"
                     );
+                    for mid in (r + 1)..nb {
+                        assert!(
+                            !is_boundary(mid),
+                            "{merge:?}/{mode:?}: missed boundary {mid} after {r}"
+                        );
+                    }
                 }
+                phase_start += len;
             }
+            assert_eq!(phase_start, s.end());
         }
     }
 
     #[test]
-    fn next_boundary_rel_walks_window_edges() {
+    fn next_edge_walks_window_edges() {
         let s = Schedule::new(&params(64, 8), MergeControl::Matched, ScheduleMode::Adaptive);
         for phase in 0..s.num_phases() {
             let len = s.phase_len(phase);
+            let edges = naive_edges(&s, phase);
             for rel in 0..len {
-                let nb = s.next_boundary_rel(phase, rel);
-                assert!(nb > rel && nb <= len);
-                if nb < len {
-                    let slot = s.locate_rel(phase, nb);
-                    assert!(slot.offset == 0 || slot.last);
-                    for mid in (rel + 1)..nb {
-                        let m = s.locate_rel(phase, mid);
-                        assert!(m.offset != 0 && !m.last, "missed rel boundary {mid}");
-                    }
-                }
+                // The duty sees every remaining edge exactly once, in order.
+                let mut seen = Vec::new();
+                let none = s.next_edge(phase, rel, |slot| {
+                    seen.push(slot);
+                    false
+                });
+                assert_eq!(none, None);
+                let want: Vec<Slot> =
+                    edges.iter().filter(|&&(at, _)| at > rel).map(|&(_, slot)| slot).collect();
+                assert_eq!(seen, want, "phase {phase} rel {rel}: edges walked");
+                // An always-true duty stops at the first of them.
+                let first = edges.iter().find(|&&(at, _)| at > rel).map(|&(at, _)| at);
+                assert_eq!(s.next_edge(phase, rel, |_| true), first);
+                // A selective duty skips to the first edge it accepts.
+                let go = |slot: Slot| slot.window == Window::MergeGo && slot.offset == 0;
+                let want_go = edges.iter().find(|&&(at, sl)| at > rel && go(sl)).map(|e| e.0);
+                assert_eq!(s.next_edge(phase, rel, go), want_go);
             }
-            // Past the nominal layout no boundary remains.
-            assert!(s.next_boundary_rel(phase, len) <= len);
-            assert!(s.next_boundary_rel(phase, len + 9) <= len + 9);
+            // Past the nominal layout no edge remains.
+            assert_eq!(s.next_edge(phase, len - 1, |_| true), None);
+            assert_eq!(s.next_edge(phase, len + 9, |_| true), None);
         }
     }
 

@@ -16,7 +16,9 @@
 //! * [`for_each_connected_graph`] enumerates *every* connected labelled
 //!   graph on `n` vertices for exhaustive small-graph sweeps;
 //! * [`assert_forest_invariants`] checks Controlled-GHS output against the
-//!   fragment-shape guarantees of Theorem 4.3.
+//!   fragment-shape guarantees of Theorem 4.3;
+//! * [`StepCounter`] counts executor steps per stage, so wake-hint
+//!   precision can be pinned like rounds and messages.
 //!
 //! ```
 //! use dmst::testkit;
@@ -27,7 +29,7 @@
 //! ```
 
 use crate::baselines::{run_ghs, run_pipeline};
-use crate::congest::RunStats;
+use crate::congest::{NodeProgram, RoundCtx, RunStats};
 use crate::core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl, ScheduleMode};
 use crate::graphs::{generators as gen, mst, EdgeId, UnionFind, WeightedGraph};
 
@@ -120,8 +122,106 @@ pub struct RoundBudget {
 impl RoundBudget {
     /// A budget with the suite's standard 10% slack.
     pub fn new(rounds: u64, messages: u64) -> Self {
-        Self { rounds, messages, slack: 1.10 }
+        Self { rounds, messages, slack: STANDARD_SLACK }
     }
+}
+
+/// The suite's standard multiplicative slack for golden-count pins (10%).
+pub const STANDARD_SLACK: f64 = 1.10;
+
+/// Asserts one measured count against its golden pin in the
+/// [`RoundBudget::slack`] sense: above `pinned * slack` is a regression,
+/// below `pinned / (2 * slack)` a stale pin.
+///
+/// # Panics
+///
+/// Panics naming `what` and `label` with the measured-vs-pinned counts.
+pub fn assert_within_slack(what: &str, label: &str, measured: u64, pinned: u64, slack: f64) {
+    let hi = (pinned as f64 * slack).ceil() as u64;
+    let lo = (pinned as f64 / (2.0 * slack)).floor() as u64;
+    assert!(
+        measured <= hi,
+        "{what} regression on {label}: measured {measured} > pinned {pinned} (+{:.0}% slack)",
+        (slack - 1.0) * 100.0
+    );
+    assert!(
+        measured >= lo,
+        "{what} pin stale on {label}: measured {measured} << pinned {pinned} — re-pin the budget"
+    );
+}
+
+/// A [`NodeProgram`] wrapper that counts how often the executor steps the
+/// wrapped program, per stage: each [`NodeProgram::on_round`] call is
+/// charged to the [`NodeProgram::stage_tag`] the node reported going into
+/// the step. Every trait method is forwarded unchanged, so a counted run
+/// has the same rounds, messages and wake hints as an uncounted one —
+/// which makes the counts a measure of wake-hint precision.
+///
+/// ```
+/// use dmst::congest::{Network, RunConfig, Topology};
+/// use dmst::core::{ElkinConfig, ElkinNode};
+/// use dmst::graphs::generators as gen;
+/// use dmst::testkit::{total_steps, StepCounter};
+///
+/// let g = gen::grid_2d(4, 4, &mut gen::WeightRng::new(3));
+/// let topo = Topology::new(g.num_nodes(), g.edges()).unwrap();
+/// let cfg = ElkinConfig::default();
+/// let mut net = Network::new(topo, |info| StepCounter::new(ElkinNode::new(info, cfg)));
+/// net.run(&RunConfig::default()).unwrap();
+/// assert!(total_steps(net.nodes(), "b") > 0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct StepCounter<P> {
+    inner: P,
+    /// `(stage tag, steps)`, in first-seen order (a handful of tags).
+    steps: Vec<(&'static str, u64)>,
+}
+
+impl<P> StepCounter<P> {
+    /// Wraps `inner` with all counts at zero.
+    pub fn new(inner: P) -> Self {
+        Self { inner, steps: Vec::new() }
+    }
+
+    /// The wrapped program.
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
+    /// Steps taken while the node reported stage `tag`.
+    pub fn steps(&self, tag: &str) -> u64 {
+        self.steps.iter().find(|e| e.0 == tag).map_or(0, |e| e.1)
+    }
+}
+
+impl<P: NodeProgram> NodeProgram for StepCounter<P> {
+    type Msg = P::Msg;
+
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, P::Msg>) {
+        let tag = self.inner.stage_tag();
+        match self.steps.iter_mut().find(|e| e.0 == tag) {
+            Some(e) => e.1 += 1,
+            None => self.steps.push((tag, 1)),
+        }
+        self.inner.on_round(ctx);
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+
+    fn stage_tag(&self) -> &'static str {
+        self.inner.stage_tag()
+    }
+
+    fn next_wake(&self, after: u64) -> Option<u64> {
+        self.inner.next_wake(after)
+    }
+}
+
+/// Steps in stage `tag` summed over every node of a counted network.
+pub fn total_steps<P>(nodes: &[StepCounter<P>], tag: &str) -> u64 {
+    nodes.iter().map(|n| n.steps(tag)).sum()
 }
 
 /// Runs `algo` on `g`, asserts the MST matches the Kruskal oracle, and
@@ -139,23 +239,16 @@ pub fn assert_round_budget(algo: &Algorithm, g: &WeightedGraph, label: &str, bud
     let (edges, _, stats) =
         algo.run_stats(g).unwrap_or_else(|e| panic!("{} failed on {label}: {e}", algo.name()));
     assert_eq!(edges, truth.edges, "{} produced a wrong MST on {label}", algo.name());
-    let check = |what: &str, measured: u64, pinned: u64| {
-        let hi = (pinned as f64 * budget.slack).ceil() as u64;
-        let lo = (pinned as f64 / (2.0 * budget.slack)).floor() as u64;
-        assert!(
-            measured <= hi,
-            "{} {what} regression on {label}: measured {measured} > pinned {pinned} (+{:.0}% slack)",
-            algo.name(),
-            (budget.slack - 1.0) * 100.0
-        );
-        assert!(
-            measured >= lo,
-            "{} {what} pin stale on {label}: measured {measured} << pinned {pinned} — re-pin the budget",
-            algo.name()
-        );
-    };
-    check("rounds", stats.rounds, budget.rounds);
-    check("messages", stats.messages, budget.messages);
+    let name = algo.name();
+    assert_within_slack(
+        &format!("{name} rounds"),
+        label,
+        stats.rounds,
+        budget.rounds,
+        budget.slack,
+    );
+    let (msgs, pinned) = (stats.messages, budget.messages);
+    assert_within_slack(&format!("{name} messages"), label, msgs, pinned, budget.slack);
 }
 
 /// Runs `algo` on `g` and asserts its output equals the golden Kruskal MST
