@@ -3,7 +3,7 @@
 //!
 //! The simulator's two load-bearing invariants — bit-identical
 //! determinism across executors/shard counts, and `CONGEST(b log n)` word
-//! accounting through `Msg::words()` — are enforced dynamically by
+//! accounting through each message's encoding — are enforced dynamically by
 //! proptests and golden pins, which only fire *after* a drifting change
 //! lands. This crate is the compiler-adjacent gate: a lightweight lexer
 //! (no `syn`; the build is offline and zero-dependency) plus a small rule

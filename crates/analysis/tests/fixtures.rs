@@ -55,40 +55,19 @@ fn entropy_source() {
 }
 
 #[test]
-fn words_missing_arm_and_wildcard() {
-    expect(
-        "words_missing",
-        &[
-            ("words-exhaustive", "crates/core/src/msg.rs", 7),
-            ("words-exhaustive", "crates/core/src/msg.rs", 8),
-            ("words-exhaustive", "crates/core/src/msg.rs", 15),
-        ],
-    );
-    let got = run("words_missing");
-    assert!(got.iter().any(|f| f.msg.contains("Msg::Pong")), "{got:#?}");
-    assert!(got.iter().any(|f| f.msg.contains("Msg::Probe")), "{got:#?}");
-    assert!(got.iter().any(|f| f.msg.contains("wildcard")), "{got:#?}");
-}
-
-#[test]
 fn encode_missing_variant_and_wildcard() {
     expect(
         "encode_missing",
         &[
             ("encode-exhaustive", "crates/core/src/msg.rs", 9),
             ("encode-exhaustive", "crates/core/src/msg.rs", 9),
-            ("encode-exhaustive", "crates/core/src/msg.rs", 32),
+            ("encode-exhaustive", "crates/core/src/msg.rs", 24),
         ],
     );
     let got = run("encode_missing");
     assert!(got.iter().any(|f| f.msg.contains("Msg::Probe never appears in Message::encode()")));
     assert!(got.iter().any(|f| f.msg.contains("Msg::Probe never appears in Message::decode()")));
     assert!(got.iter().any(|f| f.msg.contains("wildcard")), "{got:#?}");
-}
-
-#[test]
-fn zero_words() {
-    expect("zero_words", &[("words-zero", "crates/core/src/msg.rs", 13)]);
 }
 
 #[test]
@@ -106,7 +85,7 @@ fn drifting_literal() {
 fn tag_guard_missing_and_stale() {
     expect(
         "tag_guard",
-        &[("tag-guard", "crates/core/src/msg.rs", 19), ("tag-guard", "crates/core/src/node.rs", 5)],
+        &[("tag-guard", "crates/core/src/msg.rs", 12), ("tag-guard", "crates/core/src/node.rs", 5)],
     );
     let got = run("tag_guard");
     assert!(got.iter().any(|f| f.msg.contains("\"b:burst\"")), "{got:#?}");

@@ -1,7 +1,7 @@
 //! Seeded violation: a Msg variant absent from both encode() and
 //! decode(), plus a wildcard arm in encode() that would hide the
-//! omission on the wire. words() and the tag mirror are complete so
-//! only encode-exhaustive fires.
+//! omission on the wire. The tag mirror is complete so only
+//! encode-exhaustive fires.
 
 pub enum Msg {
     Ping,
@@ -10,14 +10,6 @@ pub enum Msg {
 }
 
 impl Message for Msg {
-    fn words(&self) -> u32 {
-        match self {
-            Msg::Ping => 1,
-            Msg::Pong { .. } => 2,
-            Msg::Probe(..) => 2,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         "a:bfs"
     }

@@ -6,13 +6,6 @@ pub enum Msg {
 }
 
 impl Message for Msg {
-    fn words(&self) -> u32 {
-        match self {
-            Msg::Ping => 1,
-            Msg::Burst => 2,
-        }
-    }
-
     fn tag(&self) -> &'static str {
         match self {
             Msg::Ping => "a:bfs",

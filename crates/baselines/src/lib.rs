@@ -103,7 +103,6 @@ pub fn combine_stats(a: &mut RunStats, b: &RunStats) {
         let e = a.by_tag.entry(tag).or_default();
         e.messages += t.messages;
         e.words += t.words;
-        e.wire_words += t.wire_words;
     }
 }
 
@@ -240,10 +239,10 @@ mod tests {
     #[test]
     fn combine_stats_sums_and_merges() {
         let mut a = RunStats { rounds: 5, messages: 10, words: 20, ..Default::default() };
-        a.by_tag.insert("x", congest_sim::TagStats { messages: 10, words: 20, wire_words: 20 });
+        a.by_tag.insert("x", congest_sim::TagStats { messages: 10, words: 20 });
         let mut b = RunStats { rounds: 7, messages: 1, words: 2, ..Default::default() };
-        b.by_tag.insert("x", congest_sim::TagStats { messages: 1, words: 2, wire_words: 2 });
-        b.by_tag.insert("y", congest_sim::TagStats { messages: 0, words: 0, wire_words: 0 });
+        b.by_tag.insert("x", congest_sim::TagStats { messages: 1, words: 2 });
+        b.by_tag.insert("y", congest_sim::TagStats { messages: 0, words: 0 });
         combine_stats(&mut a, &b);
         assert_eq!(a.rounds, 12);
         assert_eq!(a.messages, 11);

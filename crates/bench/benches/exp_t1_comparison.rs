@@ -78,10 +78,10 @@ fn smoke() {
     assert!(ta.stats.rounds <= tf.stats.rounds, "adaptive must not regress the torus");
     // Total-wire-words gate, one ceiling per smoke row: the measured
     // encoded volume of each run + 10% slack. `wire_words` counts the
-    // words `Message::encode` actually wrote into the rings (not the
-    // declared `words()` the capacity check charges), so a protocol change
-    // that bloats the physical representation trips this even when the
-    // declared budgets stay flat.
+    // words `Message::encode` wrote into the rings (the same lengths the
+    // capacity check charges), so a protocol change that bloats the
+    // physical representation trips this even when rounds and message
+    // counts stay flat.
     for (label, run, ceiling) in [
         ("cliquepath/fixed", &fixed, 902_122u64),
         ("cliquepath/adaptive", &ada, 743_958),

@@ -4,11 +4,12 @@
 ///
 /// A unit message in our protocols carries at most ~6 fields (a tag, a
 /// weight, two endpoint ids, two fragment ids); 8 gives slack while
-/// staying `O(1)` words = `O(log n)` bits. Protocol code that needs the
-/// per-round word budget must derive it as `UNIT_WORDS * bandwidth` (or
-/// call [`RunConfig::capacity_words`]) instead of re-stating the unit size
-/// as a literal — the `dmst-analysis` `drifting-literal` rule enforces
-/// this.
+/// staying `O(1)` words = `O(log n)` bits. Protocol code that must stay
+/// within the per-round word budget sends through
+/// [`RoundCtx::try_send`](crate::RoundCtx::try_send), which reads it from
+/// [`RunConfig::capacity_words`]; code that needs the number itself derives
+/// it from `UNIT_WORDS` instead of re-stating the unit size as a literal —
+/// the `dmst-analysis` `drifting-literal` rule enforces this.
 pub const UNIT_WORDS: u32 = 8;
 
 /// What to do when a round's sends over one edge direction exceed the
@@ -20,9 +21,11 @@ pub enum CapacityMode {
     /// that oversends is *wrong*, not slow.
     #[default]
     Strict,
-    /// Count words but deliver everything. Useful for ablations that
-    /// deliberately break the model (e.g. measuring how many messages a
-    /// naive variant *would* need).
+    /// Count words but deliver everything a plain
+    /// [`send`](crate::RoundCtx::send) offers (a
+    /// [`try_send`](crate::RoundCtx::try_send) still keeps to the budget).
+    /// Useful for ablations that deliberately break the model (e.g.
+    /// measuring how many messages a naive variant *would* need).
     Unchecked,
 }
 

@@ -26,6 +26,19 @@ pub enum SimError {
         /// Allowed words per direction per round.
         capacity: u64,
     },
+    /// A message encoded to zero words. Every message occupies the
+    /// channel, so its encoding must write at least one word; an empty one
+    /// would ride the edge for free. This indicates a protocol bug.
+    EmptyMessage {
+        /// Round of the send.
+        round: u64,
+        /// Sender.
+        from: NodeId,
+        /// Receiver.
+        to: NodeId,
+        /// The message's [`Message::tag`](crate::Message::tag).
+        tag: &'static str,
+    },
     /// The run exceeded [`RunConfig::max_rounds`](crate::RunConfig).
     MaxRoundsExceeded {
         /// The configured cap.
@@ -43,6 +56,11 @@ impl fmt::Display for SimError {
                 f,
                 "bandwidth exceeded at round {round} on edge {from} -> {to}: \
                  {words} words sent, {capacity} allowed"
+            ),
+            SimError::EmptyMessage { round, from, to, tag } => write!(
+                f,
+                "empty message at round {round} on edge {from} -> {to}: \
+                 tag {tag:?} encoded to zero words"
             ),
             SimError::MaxRoundsExceeded { max_rounds, pending_nodes } => write!(
                 f,
@@ -65,5 +83,7 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("round 3"));
         assert!(s.contains("1 -> 2"));
+        let e = SimError::EmptyMessage { round: 5, from: 0, to: 1, tag: "ping" };
+        assert!(e.to_string().contains("\"ping\" encoded to zero words"));
     }
 }

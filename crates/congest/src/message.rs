@@ -1,13 +1,11 @@
 //! The [`Message`] trait: what node programs exchange — and the
 //! word-level wire format they travel in.
 //!
-//! Since the wire-format refactor the simulator does not move `Msg` enum
-//! values through its rings at all: every send is [`Message::encode`]d
-//! into `u64` words on the receiver's per-edge ring, and every drain
-//! [`Message::decode`]s them back. `words()` is therefore not an
-//! *estimate* of a message's size — it is the physical length of its
-//! encoding, and the executor `debug_assert!`s the two agree on every
-//! send.
+//! The simulator does not move `Msg` enum values through its rings at
+//! all: every send is [`Message::encode`]d into `u64` words on the
+//! receiver's per-edge ring, and every drain [`Message::decode`]s them
+//! back. A message's size is the length of its encoding: the executor
+//! charges exactly the words `encode` wrote.
 
 /// Append-only writer for a message's wire encoding.
 ///
@@ -32,8 +30,8 @@
 ///
 /// Simple messages (unit tokens, raw integers) may skip `tag()` and
 /// write bare words; the layout is the implementor's to define, as long
-/// as `decode(encode(m)) == m` and the encoded length equals
-/// [`Message::words`].
+/// as `decode(encode(m)) == m`, decode consumes exactly the words encode
+/// wrote, and that is at least one word.
 pub struct WireWriter<'a> {
     out: &'a mut Vec<u64>,
     base: usize,
@@ -143,13 +141,13 @@ impl<'a> WireReader<'a> {
 
 /// A message exchanged between neighboring nodes.
 ///
-/// Implementors declare their size in *words* — one word is one
+/// Implementors define a wire encoding in *words* — one word is one
 /// `O(log n)`-bit quantity (a vertex identity, an edge weight, a small
-/// counter) — and define the matching wire encoding. The simulator
-/// charges `words()` against the per-edge, per-direction, per-round
-/// bandwidth budget (see [`RunConfig`](crate::RunConfig)), ships the
-/// [`encode`](Message::encode)d words through its rings, and aggregates
-/// statistics per [`tag`](Message::tag).
+/// counter). The simulator ships the [`encode`](Message::encode)d words
+/// through its rings, charges their number against the per-edge,
+/// per-direction, per-round bandwidth budget (see
+/// [`RunConfig`](crate::RunConfig)), and aggregates statistics per
+/// [`tag`](Message::tag).
 ///
 /// ```
 /// use congest_sim::{Message, WireReader, WireWriter};
@@ -161,12 +159,6 @@ impl<'a> WireReader<'a> {
 /// }
 ///
 /// impl Message for Proto {
-///     fn words(&self) -> u32 {
-///         match self {
-///             Proto::Ping => 1,
-///             Proto::Report { .. } => 2,
-///         }
-///     }
 ///     fn tag(&self) -> &'static str {
 ///         match self {
 ///             Proto::Ping => "ping",
@@ -198,45 +190,33 @@ impl<'a> WireReader<'a> {
 /// let m = Proto::Report { weight: 1 << 40, endpoint: 7 };
 /// let mut buf = Vec::new();
 /// m.encode(&mut WireWriter::new(&mut buf));
-/// assert_eq!(buf.len(), m.words() as usize);
+/// assert_eq!(buf.len(), 2); // the Report costs two words of bandwidth
 /// assert_eq!(Proto::decode(&mut WireReader::new(&buf)), m);
 /// ```
 pub trait Message: Clone {
-    /// Size of this message in words (`O(log n)`-bit units).
-    ///
-    /// # Contract: `words() >= 1`
-    ///
-    /// Every message occupies the channel, so its cost is at least one word;
-    /// an implementation returning 0 is under-declaring its bandwidth use
-    /// (a protocol bug that would let the capacity check pass vacuously).
-    /// The simulator `debug_assert!`s this contract at every send — debug
-    /// builds (the default test tier) panic on a 0-word message. Release
-    /// builds still clamp the charge to 1 word so accounting can never be
-    /// dodged, but do not pay for the check on the hot path.
-    ///
-    /// # Contract: `words()` is the encoded length
-    ///
-    /// [`encode`](Message::encode) must write exactly `words()` words,
-    /// and [`decode`](Message::decode) must consume exactly that many —
-    /// the rings carry no per-message framing, so the encoding is
-    /// self-delimiting by construction. The executor `debug_assert!`s
-    /// the send-side half on every message.
-    fn words(&self) -> u32 {
-        1
-    }
-
     /// A short static label used to aggregate statistics by message kind
     /// (e.g. `"bfs"`, `"mwoe"`). Purely observational.
     fn tag(&self) -> &'static str {
         "msg"
     }
 
-    /// Writes this message's wire representation: exactly
-    /// [`words()`](Message::words) `u64` words appended to `out`.
+    /// Writes this message's wire representation, appending `u64` words
+    /// to `out`. The number written is the message's size: the executor
+    /// charges it to the edge's bandwidth budget and counts it in
+    /// [`RunStats`](crate::RunStats).
+    ///
+    /// # Contract: at least one word
+    ///
+    /// Every message occupies the channel, so an encoding must write at
+    /// least one word. A send whose encoding is empty fails the run with
+    /// [`SimError::EmptyMessage`](crate::SimError::EmptyMessage), in every
+    /// build.
     fn encode(&self, out: &mut WireWriter<'_>);
 
     /// Reconstructs a message from its wire representation, consuming
-    /// exactly the words [`encode`](Message::encode) wrote.
+    /// exactly the words [`encode`](Message::encode) wrote — the rings
+    /// carry no per-message framing, so the encoding must be
+    /// self-delimiting.
     fn decode(r: &mut WireReader<'_>) -> Self;
 }
 
@@ -259,9 +239,6 @@ impl Message for u64 {
 }
 
 impl Message for (u64, u64) {
-    fn words(&self) -> u32 {
-        2
-    }
     fn encode(&self, out: &mut WireWriter<'_>) {
         out.word(self.0);
         out.word(self.1);
@@ -275,11 +252,17 @@ impl Message for (u64, u64) {
 mod tests {
     use super::*;
 
+    fn encoded_len(m: &impl Message) -> usize {
+        let mut buf = Vec::new();
+        m.encode(&mut WireWriter::new(&mut buf));
+        buf.len()
+    }
+
     #[test]
     fn default_words_and_tag() {
-        assert_eq!(().words(), 1);
+        assert_eq!(encoded_len(&()), 1);
         assert_eq!(().tag(), "msg");
-        assert_eq!((3u64, 4u64).words(), 2);
+        assert_eq!(encoded_len(&(3u64, 4u64)), 2);
     }
 
     #[test]

@@ -122,7 +122,10 @@ pub struct RoundCtx<'a, M: Message> {
     id: NodeId,
     ports: &'a [Port],
     inbox: &'a [(PortId, M)],
-    outbox: &'a mut Vec<(PortId, M)>,
+    topo: &'a Topology,
+    /// Global directed-port index of this node's port 0.
+    base: usize,
+    outbox: &'a mut Outbox,
 }
 
 impl<'a, M: Message> RoundCtx<'a, M> {
@@ -166,8 +169,12 @@ impl<'a, M: Message> RoundCtx<'a, M> {
         self.inbox
     }
 
-    /// Sends `msg` over port `p`, to be delivered next round. Bandwidth
-    /// accounting happens at the network level.
+    /// Sends `msg` over port `p`, to be delivered next round. The message
+    /// is encoded on the spot and its encoded length is charged to the
+    /// edge direction's per-round budget; under
+    /// [`CapacityMode::Strict`] an overrun fails the run with
+    /// [`SimError::CapacityExceeded`] once this step returns. An encoding
+    /// of zero words fails the run with [`SimError::EmptyMessage`].
     ///
     /// # Panics
     ///
@@ -175,7 +182,31 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     #[inline]
     pub fn send(&mut self, p: PortId, msg: M) {
         assert!(p < self.ports.len(), "send on nonexistent port {p}");
-        self.outbox.push((p, msg));
+        self.outbox.push(self.topo, self.round, self.id, self.base + p, &msg, false);
+    }
+
+    /// Sends `msg` over port `p` only if its encoding fits in what remains
+    /// of [`RunConfig::capacity_words`] on that edge direction this round,
+    /// counting every earlier send on the port; otherwise sends nothing
+    /// and hands `msg` back. The budget applies under either
+    /// [`CapacityMode`], so a pipeline that drains through `try_send`
+    /// never oversubscribes an edge.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err(msg)`, unchanged, when the message does not fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
+    pub fn try_send(&mut self, p: PortId, msg: M) -> Result<(), M> {
+        assert!(p < self.ports.len(), "send on nonexistent port {p}");
+        if self.outbox.push(self.topo, self.round, self.id, self.base + p, &msg, true) {
+            Ok(())
+        } else {
+            Err(msg)
+        }
     }
 }
 
@@ -204,7 +235,7 @@ struct WordRing {
 }
 
 /// Executor knobs shared by every shard, resolved once per run.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct EngineCfg {
     capacity: u64,
     strict: bool,
@@ -224,11 +255,10 @@ struct RoundSummary {
 }
 
 /// Run-total counters a shard accumulates locally and surrenders at halt.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct ShardTotals {
     messages: u64,
     words: u64,
-    wire_words: u64,
     peak_edge_words: u64,
     by_tag: Vec<(&'static str, TagStats)>,
 }
@@ -277,19 +307,13 @@ fn bump_census(census: &mut Vec<(&'static str, u64)>, tag: &'static str, up: boo
     }
 }
 
-fn bump_tag_totals(
-    tags: &mut Vec<(&'static str, TagStats)>,
-    tag: &'static str,
-    words: u64,
-    wire_words: u64,
-) {
+fn bump_tag_totals(tags: &mut Vec<(&'static str, TagStats)>, tag: &'static str, words: u64) {
     match tags.binary_search_by(|e| e.0.cmp(tag)) {
         Ok(i) => {
             tags[i].1.messages += 1;
             tags[i].1.words += words;
-            tags[i].1.wire_words += wire_words;
         }
-        Err(i) => tags.insert(i, (tag, TagStats { messages: 1, words, wire_words })),
+        Err(i) => tags.insert(i, (tag, TagStats { messages: 1, words })),
     }
 }
 
@@ -311,8 +335,6 @@ struct Shard<'a, P: NodeProgram> {
     /// Encoded-word FIFO ring per owned inbound directed port, indexed
     /// `g - plo`.
     rings: Vec<WordRing>,
-    /// Bandwidth meter per owned outbound directed port.
-    meters: Vec<EdgeMeter>,
     /// Per owned node: round stamp of the last mail delivery.
     mail: Vec<u64>,
     /// Nodes (global ids) with mail in the round being assembled.
@@ -337,28 +359,110 @@ struct Shard<'a, P: NodeProgram> {
     prev_tag: Vec<&'static str>,
     /// Non-empty stage tags with live node counts, sorted by tag.
     census: Vec<(&'static str, u64)>,
-    totals: ShardTotals,
     inbox: Vec<(PortId, P::Msg)>,
-    outbox: Vec<(PortId, P::Msg)>,
-    /// Outgoing encoded batches per destination shard (self entry
-    /// delivered locally).
-    out: Vec<WordBatch>,
+    outbox: Outbox,
 }
 
 /// Per-round bandwidth accumulator for one outbound directed edge. The
 /// stamp makes resets lazy: a slot is only zeroed when the edge first
 /// sends in a round, so idle edges cost nothing.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct EdgeMeter {
     /// Round this meter was last charged in (`u64::MAX` = never).
     round: u64,
-    /// Declared words charged to this edge direction during that round;
-    /// the strict capacity check runs against this accumulator.
+    /// Encoded words charged to this edge direction during that round;
+    /// the capacity checks run against this accumulator.
     charged: u64,
 }
 
 impl EdgeMeter {
     const IDLE: EdgeMeter = EdgeMeter { round: u64::MAX, charged: 0 };
+}
+
+/// The send side of one shard: what a [`RoundCtx`] writes through. Each
+/// send is encoded straight into its destination shard's batch and its
+/// encoded length charged to the sending edge's meter, so the length on
+/// the wire is the one number every count and check uses.
+#[derive(Debug)]
+struct Outbox {
+    cfg: EngineCfg,
+    /// First global directed-port index owned by this shard.
+    plo: usize,
+    /// Bandwidth meter per owned outbound directed port, indexed `g - plo`.
+    meters: Vec<EdgeMeter>,
+    /// Outgoing encoded batches per destination shard (self entry
+    /// delivered locally).
+    batches: Vec<WordBatch>,
+    totals: ShardTotals,
+    /// The first contract violation of the current step.
+    error: Option<SimError>,
+}
+
+impl Outbox {
+    /// Encodes `msg` onto outbound directed port `g` of node `from` and
+    /// charges its length. With `budgeted`, a message that does not fit
+    /// in the edge's remaining capacity this round is taken back out of
+    /// the batch and `false` is returned; every other outcome is `true`.
+    fn push<M: Message>(
+        &mut self,
+        topo: &Topology,
+        round: u64,
+        from: NodeId,
+        g: usize,
+        msg: &M,
+        budgeted: bool,
+    ) -> bool {
+        // Encode behind a placeholder header, patched once the length is
+        // known.
+        let dest = topo.peer(g);
+        let batch = &mut self.batches[topo.port_node(dest) / self.cfg.chunk];
+        let header = batch.len();
+        batch.push(0);
+        let len = {
+            let mut w = WireWriter::new(batch);
+            msg.encode(&mut w);
+            w.len()
+        };
+        let to = || (topo.route(g) >> 32) as NodeId;
+        if len == 0 {
+            batch.truncate(header);
+            self.error.get_or_insert(SimError::EmptyMessage {
+                round,
+                from,
+                to: to(),
+                tag: msg.tag(),
+            });
+            return true;
+        }
+        let words = len as u64;
+        // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
+        let slot = &mut self.meters[g - self.plo];
+        if slot.round != round {
+            *slot = EdgeMeter { round, charged: 0 };
+        }
+        if budgeted && slot.charged + words > self.cfg.capacity {
+            batch.truncate(header);
+            return false;
+        }
+        slot.charged += words;
+        if self.cfg.strict && slot.charged > self.cfg.capacity {
+            self.error.get_or_insert(SimError::CapacityExceeded {
+                round,
+                from,
+                to: to(),
+                words: slot.charged,
+                capacity: self.cfg.capacity,
+            });
+        }
+        batch[header] = frame_header(dest as u32, len);
+
+        let totals = &mut self.totals;
+        totals.peak_edge_words = totals.peak_edge_words.max(slot.charged);
+        totals.messages += 1;
+        totals.words += words;
+        bump_tag_totals(&mut totals.by_tag, msg.tag(), words);
+        true
+    }
 }
 
 impl<'a, P: NodeProgram> Shard<'a, P> {
@@ -388,7 +492,6 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             topo,
             cfg,
             rings: (plo..phi).map(|_| WordRing::default()).collect(),
-            meters: vec![EdgeMeter::IDLE; phi - plo],
             mail: vec![u64::MAX; count],
             touched: Vec::new(),
             actives: Vec::new(),
@@ -401,10 +504,15 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             prev_done,
             prev_tag,
             census,
-            totals: ShardTotals::default(),
             inbox: Vec::new(),
-            outbox: Vec::new(),
-            out: (0..cfg.num_shards).map(|_| Vec::new()).collect(),
+            outbox: Outbox {
+                cfg,
+                plo,
+                meters: vec![EdgeMeter::IDLE; phi - plo],
+                batches: (0..cfg.num_shards).map(|_| Vec::new()).collect(),
+                totals: ShardTotals::default(),
+                error: None,
+            },
         }
     }
 
@@ -462,7 +570,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         self.actives.sort_unstable();
         self.actives.dedup();
 
-        let mut round_messages = 0u64;
+        let sent_before = self.outbox.totals.messages;
         let mut error = None;
 
         'step: for i in 0..self.actives.len() {
@@ -489,77 +597,19 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                     ring.head = 0;
                 }
             }
-            self.outbox.clear();
             let mut ctx = RoundCtx {
                 round,
                 id: v,
                 ports: self.topo.ports(v),
                 inbox: &self.inbox,
+                topo: self.topo,
+                base,
                 outbox: &mut self.outbox,
             };
             self.nodes[ni].on_round(&mut ctx);
-
-            for (p, msg) in self.outbox.drain(..) {
-                let g = base + p;
-                debug_assert!(
-                    msg.words() >= 1,
-                    "Message::words() returned 0 for tag {:?} (node {v}, round {round}); \
-                     every message costs at least one word — see congest::Message::words",
-                    msg.tag(),
-                );
-                let words = u64::from(msg.words().max(1));
-                // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
-                let slot = &mut self.meters[g - self.plo];
-                if slot.round != round {
-                    *slot = EdgeMeter { round, charged: 0 };
-                }
-                slot.charged += words;
-                if self.cfg.strict && slot.charged > self.cfg.capacity {
-                    error = Some(SimError::CapacityExceeded {
-                        round,
-                        from: v,
-                        to: (self.topo.route(g) >> 32) as NodeId,
-                        words: slot.charged,
-                        capacity: self.cfg.capacity,
-                    });
-                    break 'step;
-                }
-                self.totals.peak_edge_words = self.totals.peak_edge_words.max(slot.charged);
-
-                // Encode straight into the destination batch, behind a
-                // placeholder header patched once the length is known.
-                let dest = self.topo.peer(g);
-                let dest_shard = self.topo.port_node(dest) / self.cfg.chunk;
-                let batch = &mut self.out[dest_shard];
-                let header = batch.len();
-                batch.push(0);
-                let mut wire = {
-                    let mut w = WireWriter::new(batch);
-                    msg.encode(&mut w);
-                    w.len()
-                };
-                if wire == 0 {
-                    // Mirror of the words() >= 1 clamp: a release-mode
-                    // encoder that wrote nothing still ships one pad word,
-                    // so the ring never desyncs.
-                    batch.push(0);
-                    wire = 1;
-                }
-                debug_assert_eq!(
-                    wire as u64,
-                    words,
-                    "Message::encode wrote {wire} words but words() declared {words} \
-                     for tag {:?} (node {v}, round {round}); the encoded length contract \
-                     is exact — see congest::Message::words",
-                    msg.tag(),
-                );
-                batch[header] = frame_header(dest as u32, wire);
-
-                bump_tag_totals(&mut self.totals.by_tag, msg.tag(), words, wire as u64);
-                self.totals.messages += 1;
-                self.totals.words += words;
-                self.totals.wire_words += wire as u64;
-                round_messages += 1;
+            if let Some(e) = self.outbox.error.take() {
+                error = Some(e);
+                break 'step;
             }
 
             let node = &self.nodes[ni];
@@ -601,7 +651,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         }
 
         RoundSummary {
-            round_messages,
+            round_messages: self.outbox.totals.messages - sent_before,
             done: self.done,
             census: self.census.clone(),
             next_due: if self.due.is_empty() {
@@ -626,9 +676,9 @@ fn shard_round<P: NodeProgram>(
     primed: bool,
 ) -> RoundSummary {
     let me = shard.idx;
-    let mut own = std::mem::take(&mut shard.out[me]);
+    let mut own = std::mem::take(&mut shard.outbox.batches[me]);
     shard.deliver(round, &mut own);
-    shard.out[me] = own;
+    shard.outbox.batches[me] = own;
     if primed {
         for s in 0..links.from.len() {
             let Some(rx) = &links.from[s] else { continue };
@@ -643,12 +693,12 @@ fn shard_round<P: NodeProgram>(
     let summary = shard.execute(round);
     for s in 0..links.to.len() {
         let Some(tx) = &links.to[s] else { continue };
-        let batch = std::mem::take(&mut shard.out[s]);
+        let batch = std::mem::take(&mut shard.outbox.batches[s]);
         // dmst-analysis:allow(panic-hygiene) -- receiver outlives every round of the scope; failure is a bug
         tx.send(batch).expect("peer shard alive until halt");
         if let Some(ret) = &links.ret_from[s] {
             if let Ok(recycled) = ret.try_recv() {
-                shard.out[s] = recycled;
+                shard.outbox.batches[s] = recycled;
             }
         }
     }
@@ -670,7 +720,7 @@ fn worker_loop<P: NodeProgram>(
             return; // coordinator gone (panic unwinding elsewhere)
         }
     }
-    let _ = totals.send(std::mem::take(&mut shard.totals));
+    let _ = totals.send(std::mem::take(&mut shard.outbox.totals));
 }
 
 /// A network of nodes executing a [`NodeProgram`] over a [`Topology`].
@@ -719,6 +769,7 @@ impl<P: NodeProgram> Network<P> {
     ///
     /// * [`SimError::CapacityExceeded`] under [`CapacityMode::Strict`] when a
     ///   round oversubscribes an edge direction.
+    /// * [`SimError::EmptyMessage`] when a message encodes to zero words.
     /// * [`SimError::MaxRoundsExceeded`] when `config.max_rounds` is hit.
     pub fn run(&mut self, config: &RunConfig) -> Result<RunStats, SimError>
     where
@@ -869,7 +920,7 @@ impl<P: NodeProgram> Network<P> {
             for dtx in &decision_txs {
                 let _ = dtx.send(Decision::Halt);
             }
-            let mut all_totals = vec![std::mem::take(&mut shard0.totals)];
+            let mut all_totals = vec![std::mem::take(&mut shard0.outbox.totals)];
             for trx in &totals_rxs {
                 // dmst-analysis:allow(panic-hygiene) -- every worker sends its totals before exiting
                 all_totals.push(trx.recv().expect("worker exits cleanly"));
@@ -878,15 +929,14 @@ impl<P: NodeProgram> Network<P> {
                 for t in all_totals {
                     stats.messages += t.messages;
                     stats.words += t.words;
-                    stats.wire_words += t.wire_words;
                     stats.peak_edge_words = stats.peak_edge_words.max(t.peak_edge_words);
                     for (tag, ts) in t.by_tag {
                         let entry = stats.by_tag.entry(tag).or_default();
                         entry.messages += ts.messages;
                         entry.words += ts.words;
-                        entry.wire_words += ts.wire_words;
                     }
                 }
+                stats.wire_words = stats.words;
                 stats.rounds = round;
                 stats
             })
@@ -974,6 +1024,95 @@ mod tests {
         });
         let stats = net.run(&RunConfig::congest_b(2)).unwrap();
         assert_eq!(stats.messages, 9);
+    }
+
+    /// Node 0 drains `queue` through `try_send` on port 0, after `plain`
+    /// plain sends of `filler` each round, logging how many queued
+    /// messages went out per round and every message `try_send` handed
+    /// back. Node 1 only listens.
+    struct Drip<M> {
+        queue: std::collections::VecDeque<M>,
+        filler: M,
+        plain: u32,
+        per_round: Vec<usize>,
+        bounced: Vec<M>,
+    }
+
+    impl<M: Message> NodeProgram for Drip<M> {
+        type Msg = M;
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
+            if self.queue.is_empty() {
+                return;
+            }
+            for _ in 0..self.plain {
+                ctx.send(0, self.filler.clone());
+            }
+            let mut sent = 0;
+            while let Some(m) = self.queue.pop_front() {
+                if let Err(m) = ctx.try_send(0, m) {
+                    self.bounced.push(m.clone());
+                    self.queue.push_front(m);
+                    break;
+                }
+                sent += 1;
+            }
+            self.per_round.push(sent);
+        }
+        fn is_done(&self) -> bool {
+            self.queue.is_empty()
+        }
+    }
+
+    /// Runs [`Drip`] with 20 queued messages `make(0..20)` and checks the
+    /// `try_send` contract; returns the stats for cross-shard comparison.
+    fn check_drip<M: Message + PartialEq + std::fmt::Debug + Send>(
+        make: impl Fn(u64) -> M,
+        bandwidth: u32,
+        plain: u32,
+        shards: u32,
+    ) -> RunStats {
+        const TOTAL: usize = 20;
+        let mut net = Network::new(pair(), |i| Drip {
+            queue: if i.id == 0 {
+                (0..TOTAL as u64).map(&make).collect()
+            } else {
+                Default::default()
+            },
+            filler: make(u64::MAX),
+            plain,
+            per_round: Vec::new(),
+            bounced: Vec::new(),
+        });
+        let cfg = RunConfig { bandwidth, shards, ..RunConfig::congest() };
+        let stats = net.run(&cfg).expect("try_send never oversubscribes in strict mode");
+        let mut buf = Vec::new();
+        make(0).encode(&mut WireWriter::new(&mut buf));
+        let len = buf.len() as u64;
+        let per_round = (cfg.capacity_words() / len - u64::from(plain)) as usize;
+        let node = &net.nodes()[0];
+        // Exactly the remaining budget's worth goes out each round, the
+        // budget resets every round, and the tail goes out last.
+        let expected: Vec<usize> =
+            (0..TOTAL).step_by(per_round).map(|s| per_round.min(TOTAL - s)).collect();
+        assert_eq!(node.per_round, expected, "b = {bandwidth}, {len}-word messages");
+        // Every full round bounced the next queued message, unchanged.
+        let bounced: Vec<M> =
+            (per_round..TOTAL).step_by(per_round).map(|k| make(k as u64)).collect();
+        assert_eq!(node.bounced, bounced);
+        assert_eq!(stats.peak_edge_words, cfg.capacity_words());
+        stats
+    }
+
+    #[test]
+    fn try_send_fills_exactly_the_remaining_budget() {
+        for bandwidth in [1, 2] {
+            for plain in [0, 3] {
+                let single = check_drip(|i| i, bandwidth, plain, 1);
+                assert_eq!(single, check_drip(|i| i, bandwidth, plain, 2));
+                let double = check_drip(|i| (i, !i), bandwidth, plain, 1);
+                assert_eq!(double, check_drip(|i| (i, !i), bandwidth, plain, 2));
+            }
+        }
     }
 
     #[test]

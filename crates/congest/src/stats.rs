@@ -7,14 +7,8 @@ use std::collections::BTreeMap;
 pub struct TagStats {
     /// Number of messages with this tag.
     pub messages: u64,
-    /// Total *declared* words across those messages
-    /// ([`Message::words`](crate::Message::words), clamped to `>= 1`).
+    /// Total encoded words across those messages.
     pub words: u64,
-    /// Total *encoded* words physically shipped through the rings for
-    /// those messages. Equal to `words` whenever every implementor
-    /// honors the encode-length contract (debug builds assert it); a
-    /// divergence in release builds is the drift detector.
-    pub wire_words: u64,
 }
 
 /// Aggregate statistics of one simulation run.
@@ -29,12 +23,13 @@ pub struct RunStats {
     pub rounds: u64,
     /// Total messages delivered over the whole run.
     pub messages: u64,
-    /// Total declared words across all messages (`Message::words()`,
-    /// clamped to `>= 1` — the quantity the capacity budget charges).
+    /// Total encoded words across all messages: the lengths
+    /// [`Message::encode`](crate::Message::encode) wrote, which is also
+    /// what the capacity budget charges.
     pub words: u64,
-    /// Total encoded words physically shipped on the wire. The byte-
-    /// accurate counterpart of `words`: equal to it as long as every
-    /// `encode` honors the length contract.
+    /// Equal to `words` by construction: both are filled from the one
+    /// encoded length. Kept as its own field for consumers that report
+    /// wire volume under this name (the benchmark harness).
     pub wire_words: u64,
     /// Largest number of messages delivered in any single round.
     pub peak_round_messages: u64,
@@ -59,11 +54,6 @@ impl RunStats {
         self.by_tag.get(tag).map_or(0, |t| t.messages)
     }
 
-    /// Encoded wire words carried by the given tag (0 if it never appeared).
-    pub fn wire_words_with_tag(&self, tag: &str) -> u64 {
-        self.by_tag.get(tag).map_or(0, |t| t.wire_words)
-    }
-
     /// Rounds attributed to the given stage tag (0 if it never appeared).
     pub fn rounds_in_stage(&self, tag: &str) -> u64 {
         self.rounds_by_stage.get(tag).copied().unwrap_or(0)
@@ -73,10 +63,7 @@ impl RunStats {
     pub fn tag_table(&self) -> String {
         let mut out = String::new();
         for (tag, t) in &self.by_tag {
-            out.push_str(&format!(
-                "{tag:<24} {:>12} msgs {:>14} words {:>14} wire\n",
-                t.messages, t.words, t.wire_words
-            ));
+            out.push_str(&format!("{tag:<24} {:>12} msgs {:>14} words\n", t.messages, t.words));
         }
         out
     }
@@ -89,11 +76,9 @@ mod tests {
     #[test]
     fn tag_accessors() {
         let mut s = RunStats::default();
-        s.by_tag.insert("bfs", TagStats { messages: 7, words: 7, wire_words: 7 });
+        s.by_tag.insert("bfs", TagStats { messages: 7, words: 7 });
         assert_eq!(s.messages_with_tag("bfs"), 7);
         assert_eq!(s.messages_with_tag("nope"), 0);
-        assert_eq!(s.wire_words_with_tag("bfs"), 7);
-        assert_eq!(s.wire_words_with_tag("nope"), 0);
         assert!(s.tag_table().contains("bfs"));
         s.rounds_by_stage.insert("a", 12);
         assert_eq!(s.rounds_in_stage("a"), 12);

@@ -10,7 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use congest_sim::{Message, Network, NodeInfo, NodeProgram, RoundCtx, RunConfig, Topology};
+use congest_sim::{
+    CapacityMode, Message, Network, NodeInfo, NodeProgram, RoundCtx, RunConfig, SimError, Topology,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -144,19 +146,12 @@ proptest! {
     }
 }
 
-/// A message that under-declares its bandwidth cost.
+/// A message whose encoding is empty: it would ride the edge for free.
 #[derive(Clone, Debug)]
 struct Weightless;
 impl Message for Weightless {
-    fn words(&self) -> u32 {
-        0 // violates the documented `words() >= 1` contract
-    }
-    // One physical word, matching the release-mode clamped charge.
-    fn encode(&self, out: &mut congest_sim::WireWriter<'_>) {
-        out.word(0);
-    }
-    fn decode(r: &mut congest_sim::WireReader<'_>) -> Self {
-        r.word();
+    fn encode(&self, _: &mut congest_sim::WireWriter<'_>) {}
+    fn decode(_: &mut congest_sim::WireReader<'_>) -> Self {
         Weightless
     }
 }
@@ -178,17 +173,17 @@ impl NodeProgram for SendOnce {
     }
 }
 
-/// `Message::words` contract: zero-word messages panic in debug builds and
-/// are clamped to one word in release builds, so bandwidth accounting can
-/// never be dodged (satellite of the `msg.words().max(1)` fix).
+/// `Message::encode` contract: every message costs at least one word. An
+/// empty encoding fails the run at the send with a typed error, in every
+/// build profile and capacity mode, so bandwidth accounting can never be
+/// dodged.
 #[test]
-#[cfg_attr(debug_assertions, should_panic(expected = "Message::words() returned 0"))]
 fn zero_word_messages_violate_the_contract() {
-    let topo = Topology::new(2, &[(0, 1, 1)]).unwrap();
-    let mut net = Network::new(topo, |i: NodeInfo<'_>| SendOnce { fire: i.id == 0, sent: false });
-    let stats = net.run(&RunConfig::congest()).unwrap();
-    // Release builds reach here: the charge was clamped, not zero.
-    assert_eq!(stats.messages, 1);
-    assert_eq!(stats.words, 1);
-    assert_eq!(stats.peak_edge_words, 1);
+    for capacity in [CapacityMode::Strict, CapacityMode::Unchecked] {
+        let topo = Topology::new(2, &[(0, 1, 1)]).unwrap();
+        let mut net =
+            Network::new(topo, |i: NodeInfo<'_>| SendOnce { fire: i.id == 0, sent: false });
+        let err = net.run(&RunConfig { capacity, ..RunConfig::congest() }).unwrap_err();
+        assert_eq!(err, SimError::EmptyMessage { round: 0, from: 0, to: 1, tag: "msg" });
+    }
 }

@@ -15,17 +15,15 @@ use congest_sim::{
 };
 use proptest::prelude::*;
 
-/// Gossip token carrying its origin and hop count. Word size and tag vary
-/// with the origin so the per-tag tables and word accounting are exercised.
+/// Gossip token carrying its origin and hop count. Encoded size and tag
+/// vary with the origin so the per-tag tables and word accounting are
+/// exercised.
 #[derive(Clone, Debug)]
 struct Token {
     origin: u64,
     hops: u32,
 }
 impl Message for Token {
-    fn words(&self) -> u32 {
-        1 + (self.origin % 3) as u32
-    }
     fn tag(&self) -> &'static str {
         if self.origin.is_multiple_of(2) {
             "even"
@@ -34,8 +32,8 @@ impl Message for Token {
         }
     }
     // A deliberately variable-width encoding: origin and hops share word 0
-    // (origins here are node ids, far below 2^32), and `origin % 3` zero
-    // pad words make the physical length match `words()` exactly.
+    // (origins here are node ids, far below 2^32), followed by
+    // `origin % 3` zero pad words, so a token costs 1 to 3 words.
     fn encode(&self, out: &mut congest_sim::WireWriter<'_>) {
         debug_assert!(self.origin < u64::from(u32::MAX));
         out.word(self.origin | (u64::from(self.hops) << 32));

@@ -44,7 +44,7 @@
 //! every vertex contributed `UpDone` for it, which requires that vertex to
 //! have finished `j`.
 
-use congest_sim::{Message as _, RoundCtx};
+use congest_sim::RoundCtx;
 
 use crate::candidate::{CandKey, Candidate};
 use crate::msg::Msg;
@@ -76,8 +76,8 @@ impl ElkinNode {
         self.slot = start;
         self.c.interval_received = true;
         self.child_ivs = crate::intervals::assign_children(start, &self.child_sizes);
-        for (i, &(cstart, size)) in self.child_ivs.clone().iter().enumerate() {
-            self.send_cd(ctx, self.bfs_children[i], Msg::Interval { start: cstart, size });
+        for (&(cstart, size), &q) in self.child_ivs.iter().zip(&self.bfs_children) {
+            ctx.send(q, Msg::Interval { start: cstart, size });
         }
         if self.is_frag_root() {
             self.c.registered = true;
@@ -91,8 +91,8 @@ impl ElkinNode {
             self.coarse = slot;
             self.coarse_ready = Some(0);
             self.milestones.entered_d = ctx.round();
-            for &q in &self.frag_children.clone() {
-                self.send_cd(ctx, q, Msg::InitCoarse { id: slot });
+            for &q in &self.frag_children {
+                ctx.send(q, Msg::InitCoarse { id: slot });
             }
         }
     }
@@ -105,8 +105,8 @@ impl ElkinNode {
                     self.coarse = id;
                     self.coarse_ready = Some(0);
                     self.milestones.entered_d = ctx.round();
-                    for &q in &self.frag_children.clone() {
-                        self.send_cd(ctx, q, Msg::InitCoarse { id });
+                    for &q in &self.frag_children {
+                        ctx.send(q, Msg::InitCoarse { id });
                     }
                 }
                 Msg::Register { slot } => {
@@ -213,9 +213,9 @@ impl ElkinNode {
                 Msg::MarkPath => match self.d.sel {
                     Sel::Mine(q) => {
                         self.ports.mark_mst(q);
-                        self.send_cd(ctx, q, Msg::MarkCross);
+                        ctx.send(q, Msg::MarkCross);
                     }
-                    Sel::Child(c) => self.send_cd(ctx, c, Msg::MarkPath),
+                    Sel::Child(c) => ctx.send(c, Msg::MarkPath),
                     Sel::None => unreachable!("MarkPath reached a subtree without a candidate"),
                 },
                 Msg::MarkCross => self.ports.mark_mst(port),
@@ -224,14 +224,16 @@ impl ElkinNode {
         }
     }
 
-    /// Per-round scheduled work. Unconditional control sends (announce,
-    /// `FragMwoeUp`, `NewCoarse`/`MarkPath` via the root merge) run before
-    /// the budget-aware pipeline flushes; `UpDone`/`RegDone` are deferred
-    /// whenever the edge's word budget is exhausted this round, so a shared
-    /// BFS-/fragment-tree edge is never oversubscribed.
+    /// Per-round scheduled work. Unconditional control sends (handler
+    /// forwards, announce, `FragMwoeUp`, the root merge's answers) run
+    /// before the pipeline flushes, which go through `ctx.try_send` and
+    /// defer whatever no longer fits the edge's word budget this round;
+    /// the completion markers `UpDone`/`RegDone` are budget-checked the
+    /// same way. So a shared BFS-/fragment-tree edge is never
+    /// oversubscribed and no headroom needs reserving; the simulator's
+    /// strict capacity check rejects any future send that breaks this
+    /// ordering.
     pub(crate) fn cd_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
-        let round = ctx.round();
-
         // --- Stage C: root-side registration completion (gates merge 0).
         if let Some(root) = self.root.as_mut() {
             if !root.reg_complete
@@ -250,7 +252,7 @@ impl ElkinNode {
             self.d.announced = true;
             let coarse = self.coarse;
             for q in 0..self.deg {
-                self.send_cd(ctx, q, Msg::CoarseAnnounce { coarse, me: self.id });
+                ctx.send(q, Msg::CoarseAnnounce { coarse, me: self.id });
             }
         }
 
@@ -274,7 +276,7 @@ impl ElkinNode {
                 self.cd_inject();
             } else {
                 let up = self.frag_parent.expect("non-root has a fragment parent");
-                self.send_cd(ctx, up, Msg::FragMwoeUp { cand: self.d.agg });
+                ctx.send(up, Msg::FragMwoeUp { cand: self.d.agg });
             }
         }
 
@@ -282,20 +284,17 @@ impl ElkinNode {
         if self.c.interval_received && !self.c.reg_done_sent {
             if let Some(parent) = self.bfs_parent {
                 while let Some(&slot) = self.c.reg_queue.front() {
-                    let msg = Msg::Register { slot };
-                    if self.pipe_budget(round, parent) < msg.words() {
+                    if ctx.try_send(parent, Msg::Register { slot }).is_err() {
                         break;
                     }
                     self.c.reg_queue.pop_front();
-                    self.send_cd(ctx, parent, msg);
                 }
                 let my_duty = !self.is_frag_root() || self.c.registered;
                 if my_duty
                     && self.c.reg_queue.is_empty()
                     && self.c.reg_done_children == self.bfs_children.len()
-                    && self.pipe_budget(round, parent) >= Msg::RegDone.words()
+                    && ctx.try_send(parent, Msg::RegDone).is_ok()
                 {
-                    self.send_cd(ctx, parent, Msg::RegDone);
                     self.c.reg_done_sent = true;
                 }
             }
@@ -306,13 +305,11 @@ impl ElkinNode {
             while let Some(&(key, sc)) = self.d.up_pending.iter().next() {
                 let rec = self.d.up_best[&sc];
                 debug_assert_eq!(rec.key, key);
-                let msg = Msg::Candidate { rec };
-                if self.pipe_budget(round, parent) < msg.words() {
+                if ctx.try_send(parent, Msg::Candidate { rec }).is_err() {
                     break;
                 }
                 self.d.up_pending.remove(&(key, sc));
                 self.d.up_sent.insert(sc, key);
-                self.send_cd(ctx, parent, msg);
             }
         }
 
@@ -327,10 +324,7 @@ impl ElkinNode {
             && self.d.up_pending.is_empty()
         {
             if let Some(parent) = self.bfs_parent {
-                if self.pipe_budget(round, parent) >= Msg::UpDone.words() {
-                    self.d.updone_sent = true;
-                    self.send_cd(ctx, parent, Msg::UpDone);
-                }
+                self.d.updone_sent = ctx.try_send(parent, Msg::UpDone).is_ok();
             } else if self.root.as_ref().is_some_and(|r| r.reg_complete) {
                 self.d.updone_sent = true;
                 self.cd_root_merge(ctx);
@@ -339,14 +333,12 @@ impl ElkinNode {
 
         // (f) Downcast pipeline flush (also drains the answers the root
         // merge just queued, and keeps draining after `done`).
-        for i in 0..self.down.len() {
-            let port = self.bfs_children[i];
-            while let Some(words) = self.down[i].front().map(Msg::words) {
-                if self.pipe_budget(round, port) < words {
+        for (queue, &port) in self.down.iter_mut().zip(&self.bfs_children) {
+            while let Some(msg) = queue.pop_front() {
+                if let Err(msg) = ctx.try_send(port, msg) {
+                    queue.push_front(msg);
                     break;
                 }
-                let msg = self.down[i].pop_front().expect("front checked above");
-                self.send_cd(ctx, port, msg);
             }
         }
 
@@ -371,8 +363,8 @@ impl ElkinNode {
     /// This mirrors `cd_act`'s guards one-for-one — keep the two in sync.
     /// Every mirrored step either makes monotone progress on a queue or
     /// latches a flag, so a `true` here never repeats forever. Budget-gated
-    /// sends (`pipe_budget`) that defer leave their guard standing, which
-    /// correctly re-arms the wake for the round after the ledger resets.
+    /// sends (`ctx.try_send`) that defer leave their guard standing, which
+    /// re-arms the wake for the next round, when the edge's budget resets.
     pub(crate) fn cd_next_wake(&self, after: u64) -> Option<u64> {
         // Root-side registration-completion latch.
         let root_latch_pending = self.root.as_ref().is_some_and(|root| {
@@ -538,21 +530,21 @@ impl ElkinNode {
             match self.d.sel {
                 Sel::Mine(q) => {
                     self.ports.mark_mst(q);
-                    self.send_cd(ctx, q, Msg::MarkCross);
+                    ctx.send(q, Msg::MarkCross);
                 }
-                Sel::Child(c) => self.send_cd(ctx, c, Msg::MarkPath),
+                Sel::Child(c) => ctx.send(c, Msg::MarkPath),
                 Sel::None => unreachable!("chosen candidate without a selection"),
             }
         }
-        for &q in &self.frag_children.clone() {
-            self.send_cd(ctx, q, Msg::NewCoarse { id: nc, done, next });
+        for &q in &self.frag_children {
+            ctx.send(q, Msg::NewCoarse { id: nc, done, next });
         }
         self.cd_apply_new_coarse_local(nc, done, next);
     }
 
     fn cd_apply_new_coarse(&mut self, ctx: &mut RoundCtx<'_, Msg>, id: u64, done: bool, next: u64) {
-        for &q in &self.frag_children.clone() {
-            self.send_cd(ctx, q, Msg::NewCoarse { id, done, next });
+        for &q in &self.frag_children {
+            ctx.send(q, Msg::NewCoarse { id, done, next });
         }
         self.cd_apply_new_coarse_local(id, done, next);
     }

@@ -23,8 +23,9 @@ pub enum RunError {
         /// Number of vertices.
         n: usize,
     },
-    /// The simulator rejected the execution (bandwidth violation or round
-    /// cap — either indicates a protocol bug, not an input problem).
+    /// The simulator rejected the execution (bandwidth violation, empty
+    /// message or round cap — each indicates a protocol bug, not an input
+    /// problem).
     Sim(SimError),
     /// The per-vertex outputs were inconsistent (e.g. an edge marked at one
     /// endpoint only). Indicates an algorithm bug.

@@ -1,25 +1,29 @@
 //! Wire-format round-trip properties for the Elkin protocol: for every
-//! [`Msg`] variant, `decode(encode(m)) == m` and the encoded length equals
-//! the declared `words()` — the two halves of the length contract the
-//! executor's word rings rely on (decode is self-delimiting; a mismatch
-//! here would desynchronize every later message in a ring).
+//! [`Msg`] variant, `decode(encode(m)) == m`, decode consumes exactly the
+//! words encode wrote, and that count lies in `1..=UNIT_WORDS` — the
+//! length contract the executor's word rings rely on (decode is
+//! self-delimiting; a mismatch here would desynchronize every later
+//! message in a ring). The count is the message's bandwidth charge, so a
+//! message longer than one unit would be deferred by `try_send` forever at
+//! `b = 1`.
 //!
 //! Field domains mirror the protocol's: vertex ids, fragment ids, slots,
 //! colors, and coarse ids are `< 2^32` (the simulator caps `n` at
 //! `u32::MAX`, and the wire format packs them into tag words); weights and
 //! key components carry full words.
 
-use congest_sim::{Message, WireReader, WireWriter};
+use congest_sim::{Message, WireReader, WireWriter, UNIT_WORDS};
 use dmst_core::{CandKey, Candidate, Msg};
 use proptest::prelude::*;
 
-/// Encode, check the length contract, decode, check identity and that the
+/// Encode, check the encoded length, decode, check identity and that the
 /// reader consumed exactly the encoded span (ring-cursor advance).
 fn check(m: &Msg) -> Result<(), TestCaseError> {
     let mut buf = Vec::new();
     let mut w = WireWriter::new(&mut buf);
     m.encode(&mut w);
-    prop_assert_eq!(w.len(), m.words() as usize, "encoded length != words() for {:?}", m);
+    let len = w.len();
+    prop_assert!((1..=UNIT_WORDS as usize).contains(&len), "{:?} encodes to {} words", m, len);
     let mut r = WireReader::new(&buf);
     let back = Msg::decode(&mut r);
     prop_assert_eq!(&back, m);
@@ -93,8 +97,8 @@ fn build(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-    /// Every variant survives one encode/decode cycle and encodes exactly
-    /// its declared word count.
+    /// Every variant survives one encode/decode cycle and encodes to
+    /// between one and `UNIT_WORDS` words.
     #[test]
     fn msg_roundtrip(
         sel in 0usize..39,
@@ -129,7 +133,7 @@ proptest! {
         for m in &msgs {
             let mut w = WireWriter::new(&mut ring);
             m.encode(&mut w);
-            prop_assert_eq!(w.len(), m.words() as usize);
+            prop_assert!(!w.is_empty());
         }
         let mut head = 0usize;
         for m in &msgs {

@@ -2,9 +2,11 @@
 //! the paper's asymptotic formulas with explicit, fixed constants. These
 //! are the theorem statements turned into assertions.
 
+use dmst::congest::{CapacityMode, Network, RunConfig, Topology};
 use dmst::core::util::{ceil_log2, log_star};
-use dmst::core::{run_forest, run_mst, ElkinConfig};
-use dmst::graphs::{analysis, generators as gen, WeightedGraph};
+use dmst::core::{run_forest, run_mst, ElkinConfig, ElkinNode};
+use dmst::graphs::{analysis, generators as gen, mst, WeightedGraph};
+use dmst_bench::standard_trio;
 
 /// Constant in front of `(D + sqrt(n/b)) log n` that every measured run
 /// must respect. Stage B's fixed windows carry the largest constant
@@ -113,4 +115,45 @@ fn strict_bandwidth_is_respected() {
             run.stats.peak_edge_words
         );
     }
+}
+
+#[test]
+fn pipelines_follow_words_per_unit() {
+    // The Stage C/D pipelines drain through `RoundCtx::try_send`, so they
+    // spend whatever per-edge budget the simulator grants. With 16-word
+    // units on the n = 256 cliquepath, where the candidate and downcast
+    // queues back up, some edge must carry more than one default unit of
+    // 8 words in a round — and the strict run must still succeed.
+    let g = standard_trio(256, 0x51)
+        .into_iter()
+        .find(|w| w.name.starts_with("cliquepath"))
+        .expect("trio contains a cliquepath")
+        .graph;
+    let cfg = ElkinConfig::default();
+    let topo = Topology::new(g.num_nodes(), g.edges()).expect("valid topology");
+    let mut net = Network::new(topo, |info| ElkinNode::new(info, cfg));
+    let sim = RunConfig {
+        words_per_unit: 16,
+        capacity: CapacityMode::Strict,
+        max_rounds: 1_000_000,
+        ..RunConfig::default()
+    };
+    let stats = net.run(&sim).expect("strict run with 16-word units succeeds");
+
+    let topo = net.topology();
+    let mut marks = vec![0u8; g.num_edges()];
+    for (v, node) in net.nodes().iter().enumerate() {
+        for p in node.mst_ports() {
+            marks[topo.ports(v)[p].edge] += 1;
+        }
+    }
+    assert!(marks.iter().all(|&m| m == 0 || m == 2), "MST edge marked at one endpoint only");
+    let edges: Vec<usize> = (0..marks.len()).filter(|&e| marks[e] == 2).collect();
+    assert_eq!(edges, mst::kruskal(&g).edges, "MST differs from Kruskal");
+    assert!(
+        stats.peak_edge_words > 8,
+        "peak edge words {} never exceeded the default unit: the pipelines ignore \
+         words_per_unit",
+        stats.peak_edge_words
+    );
 }
