@@ -43,8 +43,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "drifting-literal",
-        what: "pipeline-budget sites must derive thresholds from Msg::words() and \
-               UNIT_WORDS, not re-state word counts as literals",
+        what: "the unit size must come from UNIT_WORDS, never a literal multiplied \
+               with `bandwidth`",
     },
     RuleInfo {
         id: "tag-guard",
@@ -152,12 +152,11 @@ fn determinism_rules(f: &ParsedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `drifting-literal`: a line that touches the pipeline budget must not
-/// carry a numeric word count, and the unit size must come from
-/// `UNIT_WORDS`, never a `<literal> * bandwidth` product (the exact drift
-/// class PR 3 swept by hand).
+/// `drifting-literal`: the unit size must come from `UNIT_WORDS`, never a
+/// `<literal> * bandwidth` product on one line (a drift class once swept
+/// by hand).
 fn drifting_literal(f: &ParsedFile, findings: &mut Vec<Finding>) {
-    let mut lines: Vec<(u32, bool, bool, bool, bool)> = Vec::new(); // (line, pipe, band, star, int)
+    let mut lines: Vec<(u32, bool, bool, bool)> = Vec::new(); // (line, band, star, int)
     for (i, t) in f.tokens.iter().enumerate() {
         if f.test_mask[i] {
             continue;
@@ -165,25 +164,16 @@ fn drifting_literal(f: &ParsedFile, findings: &mut Vec<Finding>) {
         let entry = match lines.last_mut() {
             Some(e) if e.0 == t.line => e,
             _ => {
-                lines.push((t.line, false, false, false, false));
+                lines.push((t.line, false, false, false));
                 lines.last_mut().expect("just pushed")
             }
         };
-        entry.1 |= t.is_ident("pipe_budget");
-        entry.2 |= t.is_ident("bandwidth");
-        entry.3 |= t.is_punct('*');
-        entry.4 |= t.kind == TokKind::Num && t.int_value().is_some();
+        entry.1 |= t.is_ident("bandwidth");
+        entry.2 |= t.is_punct('*');
+        entry.3 |= t.kind == TokKind::Num && t.int_value().is_some();
     }
-    for (line, pipe, band, star, int) in lines {
-        if pipe && int {
-            findings.push(Finding {
-                rule: "drifting-literal",
-                path: f.path.clone(),
-                line,
-                msg: "budget threshold written as a literal; derive it from Msg::words()"
-                    .to_string(),
-            });
-        } else if band && star && int {
+    for (line, band, star, int) in lines {
+        if band && star && int {
             findings.push(Finding {
                 rule: "drifting-literal",
                 path: f.path.clone(),
@@ -199,8 +189,8 @@ fn drifting_literal(f: &ParsedFile, findings: &mut Vec<Finding>) {
 /// `encode-exhaustive` over any file that defines `enum Msg`: every
 /// variant must appear (as `Msg::V` or `Self::V`) in the bodies of both
 /// `fn encode` and `fn decode`, and neither may use a `_ =>` wildcard
-/// arm. A wildcard would let a new variant land silently mis-framed and
-/// desynchronize every later message in the ring. (Named
+/// arm. A wildcard would let a new variant land silently mis-encoded.
+/// (Named
 /// catch-all bindings over the *tag word* in decode — `other =>
 /// unreachable!(..)` — are fine: they reject, not absorb.)
 fn encode_rules(f: &ParsedFile, findings: &mut Vec<Finding>) {
@@ -663,21 +653,22 @@ impl Message for Msg {
     }
 
     #[test]
-    fn drifting_literal_flags_pipe_budget_and_unit_size() {
-        let src = "fn f(&self) {\n  if self.pipe_budget(r, p) >= 2 {}\n  let cap = 8 * self.cfg.bandwidth;\n}";
+    fn drifting_literal_flags_unit_size() {
+        let src = "fn f(&self) {\n  let cap = 8 * self.cfg.bandwidth;\n  let words = 2;\n  \
+                   let c = u64::from(self.cfg.bandwidth) * 8;\n}";
         let f = protocol("crates/core/src/node/mod.rs", src);
         let mut out = Vec::new();
         check_file(&f, &mut out);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|f| f.rule == "drifting-literal"));
         assert_eq!(out[0].line, 2);
-        assert_eq!(out[1].line, 3);
+        assert_eq!(out[1].line, 4);
     }
 
     #[test]
     fn drifting_literal_accepts_words_derived() {
-        let src = "fn f(&self) { if self.pipe_budget(r, p) >= Msg::RegDone.words() {} \
-                   let cap = UNIT_WORDS * self.cfg.bandwidth; }";
+        let src = "fn f(&self) {\n  let cap = UNIT_WORDS * self.cfg.bandwidth;\n  \
+                   let b = self.cfg.bandwidth;\n  let words = 2 * len;\n}";
         let f = protocol("crates/core/src/node/mod.rs", src);
         let mut out = Vec::new();
         check_file(&f, &mut out);

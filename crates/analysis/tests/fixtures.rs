@@ -75,8 +75,8 @@ fn drifting_literal() {
     expect(
         "drifting_literal",
         &[
-            ("drifting-literal", "crates/core/src/node.rs", 13),
-            ("drifting-literal", "crates/core/src/node.rs", 17),
+            ("drifting-literal", "crates/core/src/node.rs", 10),
+            ("drifting-literal", "crates/core/src/node.rs", 14),
         ],
     );
 }

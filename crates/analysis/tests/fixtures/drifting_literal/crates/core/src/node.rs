@@ -1,19 +1,16 @@
-//! Seeded violation: word counts re-stated as literals at budget sites.
+//! Seeded violation: the unit size re-stated as a literal next to
+//! `bandwidth` instead of `UNIT_WORDS`.
 
 pub struct Node {
     bandwidth: u32,
 }
 
 impl Node {
-    pub fn pipe_budget(&self, _round: u64) -> u32 {
-        self.bandwidth
-    }
-
-    pub fn flush(&self, round: u64) -> bool {
-        self.pipe_budget(round) >= 2
-    }
-
     pub fn cap(&self) -> u32 {
         8 * self.bandwidth
+    }
+
+    pub fn cap_words(&self) -> u64 {
+        u64::from(self.bandwidth) * 8
     }
 }

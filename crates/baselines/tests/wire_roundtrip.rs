@@ -15,7 +15,7 @@ use dmst_core::CandKey;
 use proptest::prelude::*;
 
 /// Encode, check the encoded length, decode, check identity and consumed
-/// span (the executor ring advances by exactly this much).
+/// span (the frame length the executor's drain checks).
 fn check<M: Message + PartialEq + std::fmt::Debug>(m: &M) -> Result<(), TestCaseError> {
     let mut buf = Vec::new();
     let mut w = WireWriter::new(&mut buf);
@@ -90,7 +90,7 @@ proptest! {
     }
 
     /// Mixed back-to-back encoding into one unframed buffer decodes
-    /// sequentially (ring behavior).
+    /// sequentially (decode is self-delimiting).
     #[test]
     fn ghs_ring_roundtrip(
         sels in proptest::collection::vec(0usize..14, 1..8),

@@ -78,7 +78,7 @@ fn smoke() {
     assert!(ta.stats.rounds <= tf.stats.rounds, "adaptive must not regress the torus");
     // Total-wire-words gate, one ceiling per smoke row: the measured
     // encoded volume of each run + 10% slack. `wire_words` counts the
-    // words `Message::encode` wrote into the rings (the same lengths the
+    // words `Message::encode` wrote on the wire (the same lengths the
     // capacity check charges), so a protocol change that bloats the
     // physical representation trips this even when rounds and message
     // counts stay flat.

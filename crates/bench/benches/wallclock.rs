@@ -112,14 +112,20 @@ fn gate_check<T>(label: &str, ceiling_ms: u128, work: impl FnOnce() -> T) -> T {
 }
 
 /// Peak resident set size of this process in kibibytes, from
-/// `/proc/self/status` `VmHWM` (Linux only; `None` elsewhere). Printed by
-/// the gate so memory regressions in the flat-arena executor are visible
-/// in CI logs next to the wallclock numbers.
+/// `/proc/self/status` `VmHWM` (Linux only; `None` elsewhere). The gate
+/// checks it against [`PEAK_RSS_CEILING_KIB`].
 fn peak_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
 }
+
+/// Peak-RSS ceiling of the gate process: 1.25x the 45,620 KiB measured on
+/// a 2-vCPU x86-64 Linux VM once the executor kept no state per directed
+/// edge (word rings, edge meters and a drain table took it to 54,208
+/// KiB). Unlike the wallclock ceilings this barely depends on the machine,
+/// so it can sit close to the measurement.
+const PEAK_RSS_CEILING_KIB: u64 = 57_025;
 
 /// The pinned gate (`--gate`). Debug builds are ~10-20x slower and would
 /// need their own pins; CI runs this under `--release` only.
@@ -148,7 +154,14 @@ fn gate() {
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
 
     match peak_rss_kib() {
-        Some(kib) => println!("gate: peak RSS {:>34} KiB", kib),
+        Some(kib) => {
+            println!("gate: peak RSS {kib:>34} KiB   (ceiling {PEAK_RSS_CEILING_KIB} KiB)");
+            assert!(
+                kib <= PEAK_RSS_CEILING_KIB,
+                "peak RSS {kib} KiB over the {PEAK_RSS_CEILING_KIB} KiB ceiling — \
+                 per-node or per-edge executor state has grown"
+            );
+        }
         None => println!("gate: peak RSS unavailable on this platform"),
     }
     println!("\nwallclock gate ok");

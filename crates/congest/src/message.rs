@@ -1,11 +1,11 @@
 //! The [`Message`] trait: what node programs exchange — and the
 //! word-level wire format they travel in.
 //!
-//! The simulator does not move `Msg` enum values through its rings at
-//! all: every send is [`Message::encode`]d into `u64` words on the
-//! receiver's per-edge ring, and every drain [`Message::decode`]s them
-//! back. A message's size is the length of its encoding: the executor
-//! charges exactly the words `encode` wrote.
+//! The simulator does not move `Msg` enum values at all: every send is
+//! [`Message::encode`]d into `u64` words behind a one-word frame header,
+//! the frame travels to the receiver's mailbox, and the receiver's drain
+//! [`Message::decode`]s it back. A message's size is the length of its
+//! encoding: the executor charges exactly the words `encode` wrote.
 
 /// Append-only writer for a message's wire encoding.
 ///
@@ -144,7 +144,7 @@ impl<'a> WireReader<'a> {
 /// Implementors define a wire encoding in *words* — one word is one
 /// `O(log n)`-bit quantity (a vertex identity, an edge weight, a small
 /// counter). The simulator ships the [`encode`](Message::encode)d words
-/// through its rings, charges their number against the per-edge,
+/// to the receiver's mailbox, charges their number against the per-edge,
 /// per-direction, per-round bandwidth budget (see
 /// [`RunConfig`](crate::RunConfig)), and aggregates statistics per
 /// [`tag`](Message::tag).
@@ -214,9 +214,9 @@ pub trait Message: Clone {
     fn encode(&self, out: &mut WireWriter<'_>);
 
     /// Reconstructs a message from its wire representation, consuming
-    /// exactly the words [`encode`](Message::encode) wrote — the rings
-    /// carry no per-message framing, so the encoding must be
-    /// self-delimiting.
+    /// exactly the words [`encode`](Message::encode) wrote. The executor
+    /// hands `decode` the message's own frame and debug-asserts that it
+    /// consumed all of it.
     fn decode(r: &mut WireReader<'_>) -> Self;
 }
 

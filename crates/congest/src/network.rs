@@ -1,31 +1,36 @@
 //! The round-driven network executor.
 //!
 //! The executor advances the network in synchronous rounds over flat arena
-//! state indexed by the topology's CSR port numbering: one `u64` word ring
-//! per *directed edge* buffers in-flight messages in their wire encoding
-//! (no `Msg` values are stored — sends [`Message::encode`] into the ring,
-//! drains [`Message::decode`] back out), one stamped [`EdgeMeter`] per
-//! directed edge meters bandwidth, and per-node stamps track mail,
-//! termination, and stage-tag transitions incrementally. Per-round cost is
-//! proportional to the nodes that act and the messages that move — never to
-//! `n` itself.
+//! state indexed by the topology's CSR port numbering. In-flight messages
+//! live in one `u64` **mailbox** per receiving node, in their wire
+//! encoding (no `Msg` values are stored — sends [`Message::encode`] into a
+//! word batch, drains [`Message::decode`] back out), and bandwidth is
+//! metered per *step*: a node sends only while it is being stepped, so a
+//! scratch of per-local-port charges, reset after each step, meters every
+//! edge direction exactly. Per-node stamps track termination, wakes and
+//! stage-tag transitions incrementally. The executor keeps no state per
+//! directed edge, and per-round cost is proportional to the nodes that
+//! act and the messages that move — never to `n` itself.
 //!
 //! # Sharded execution
 //!
-//! [`RunConfig::shards`] `> 1` partitions nodes into contiguous id ranges,
-//! one worker thread per extra shard. Each shard exclusively owns its nodes
-//! and the rings of its *inbound* ports; cross-shard messages travel as
-//! per-round *word blocks* over channels — length-framed encoded messages
-//! that delivery routes by header alone and appends to the destination
-//! rings without decoding. Because every ring has exactly one writer (one directed edge, one
-//! sender) and a receiver drains its rings in ascending-neighbor order, each
-//! inbox comes out exactly as the sequential executor builds it — messages
-//! grouped per sender in FIFO blocks, senders in ascending id order — no
-//! matter how the shard batches interleave. Results are therefore
-//! bit-identical for every shard count; the dual-executor proptests in
-//! `tests/` hold the engine to that contract. (After an *error* return the
-//! node states of shards past the offending one may have advanced further
-//! than under sequential execution; successful runs are always identical.)
+//! [`RunConfig::shards`] `> 1` partitions nodes into contiguous id ranges
+//! and runs each on a worker thread of its own, while the calling thread
+//! only coordinates the rounds. Each shard exclusively owns its nodes and
+//! their mailboxes; every send, local or not, is framed into a
+//! per-destination-shard *word batch* (`[dest_port | len << 32,
+//! payload..]` frames), and cross-shard batches travel over channels.
+//! Delivery copies whole frames into the receivers' mailboxes without
+//! decoding them, taking the batches in ascending source-shard order (the
+//! shard's own batch at its own index). Shards are ascending id ranges
+//! and each steps its nodes in ascending id order, so every mailbox fills
+//! in exactly the sequential executor's inbox order — messages grouped per
+//! sender in FIFO blocks, senders in ascending id order — whatever the
+//! shard count. Results are therefore bit-identical for every shard count;
+//! the dual-executor proptests in `tests/` hold the engine to that
+//! contract. (After an *error* return the node states of shards past the
+//! offending one may have advanced further than under sequential
+//! execution; successful runs are always identical.)
 //!
 //! # Idle skipping
 //!
@@ -40,7 +45,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use crate::config::{CapacityMode, RunConfig};
 use crate::error::SimError;
@@ -170,8 +175,9 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     }
 
     /// Sends `msg` over port `p`, to be delivered next round. The message
-    /// is encoded on the spot and its encoded length is charged to the
-    /// edge direction's per-round budget; under
+    /// is encoded on the spot and its encoded length is charged to port
+    /// `p` for this step — the edge direction's budget for the round, as
+    /// a node is stepped at most once per round; under
     /// [`CapacityMode::Strict`] an overrun fails the run with
     /// [`SimError::CapacityExceeded`] once this step returns. An encoding
     /// of zero words fails the run with [`SimError::EmptyMessage`].
@@ -182,12 +188,13 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     #[inline]
     pub fn send(&mut self, p: PortId, msg: M) {
         assert!(p < self.ports.len(), "send on nonexistent port {p}");
-        self.outbox.push(self.topo, self.round, self.id, self.base + p, &msg, false);
+        self.outbox.push(self.topo, self.round, self.base, p, &msg, false);
     }
 
     /// Sends `msg` over port `p` only if its encoding fits in what remains
     /// of [`RunConfig::capacity_words`] on that edge direction this round,
-    /// counting every earlier send on the port; otherwise sends nothing
+    /// counting every earlier send on the port in this step (the only
+    /// sends the edge direction carries this round); otherwise sends nothing
     /// and hands `msg` back. The budget applies under either
     /// [`CapacityMode`], so a pipeline that drains through `try_send`
     /// never oversubscribes an edge.
@@ -202,7 +209,7 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     #[inline]
     pub fn try_send(&mut self, p: PortId, msg: M) -> Result<(), M> {
         assert!(p < self.ports.len(), "send on nonexistent port {p}");
-        if self.outbox.push(self.topo, self.round, self.id, self.base + p, &msg, true) {
+        if self.outbox.push(self.topo, self.round, self.base, p, &msg, true) {
             Ok(())
         } else {
             Err(msg)
@@ -210,28 +217,26 @@ impl<'a, M: Message> RoundCtx<'a, M> {
     }
 }
 
-/// Messages crossing a shard boundary in one round, already encoded: a
-/// flat word block of `[header, payload...]*` frames in sender-step
-/// order. The header word holds the destination global directed port in
-/// bits `0..32` and the payload length in words in bits `32..64`, so
-/// delivery can route each frame without decoding it.
+/// Encoded messages in flight, as a flat word block of
+/// `[header, payload...]*` frames. The header word holds the destination
+/// global directed port in bits `0..32` and the payload length in words
+/// in bits `32..64`. A shard's outgoing batch to one destination shard
+/// and a node's mailbox share this format, so delivery moves frames
+/// without decoding them and the drain decodes each message from exactly
+/// its own frame.
 type WordBatch = Vec<u64>;
 
-/// Builds one batch frame header (see [`WordBatch`]).
+/// Builds one frame header (see [`WordBatch`]).
 #[inline]
 fn frame_header(dest_port: u32, len: usize) -> u64 {
     u64::from(dest_port) | ((len as u64) << 32)
 }
 
-/// Receiver-owned wire buffer for one inbound directed edge: encoded
-/// message words appended in sender FIFO order, decoded back into
-/// messages when the owning node drains its ports. `head` is the read
-/// cursor during a drain; between rounds the ring is empty and `head`
-/// is 0. No `Msg` values are ever stored — the ring *is* the wire.
-#[derive(Default)]
-struct WordRing {
-    words: Vec<u64>,
-    head: usize,
+/// Splits a frame header into the destination global port and the
+/// payload length.
+#[inline]
+fn frame_parts(header: u64) -> (usize, usize) {
+    ((header & 0xFFFF_FFFF) as usize, (header >> 32) as usize)
 }
 
 /// Executor knobs shared by every shard, resolved once per run.
@@ -270,14 +275,24 @@ enum Decision {
 
 /// Channel ends connecting one shard to every other shard: `to`/`from`
 /// carry round word batches, `ret_*` recycle the emptied `Vec`s
-/// backwards. Entry `s` talks to shard `s`; the self entry is `None`.
+/// backwards, so exactly two buffers circulate per ordered pair. Entry
+/// `s` talks to shard `s`; the self entry is `None`.
 /// Batches are plain `u64` blocks, so the links are independent of the
 /// protocol's message type.
 struct Links {
-    to: Vec<Option<Sender<WordBatch>>>,
+    to: Vec<Option<SyncSender<WordBatch>>>,
     from: Vec<Option<Receiver<WordBatch>>>,
-    ret_to: Vec<Option<Sender<WordBatch>>>,
+    ret_to: Vec<Option<SyncSender<WordBatch>>>,
     ret_from: Vec<Option<Receiver<WordBatch>>>,
+}
+
+/// A bounded channel for a sharded run. At most two messages are ever in
+/// flight on one (a batch may be sent before the peer has taken the
+/// previous one), so sends never wait; and unlike an unbounded channel it
+/// allocates nothing per message, so no channel block allocated by one
+/// thread is freed by another while the run is under way.
+fn link<T>() -> (SyncSender<T>, Receiver<T>) {
+    mpsc::sync_channel(2)
 }
 
 impl Links {
@@ -323,20 +338,15 @@ fn current_stage(censuses: &[Vec<(&'static str, u64)>]) -> Option<&'static str> 
 }
 
 /// One contiguous slice of the network: nodes `lo..lo + nodes.len()` plus
-/// every per-port and per-node arena for that range.
+/// every per-node arena for that range.
 struct Shard<'a, P: NodeProgram> {
-    idx: usize,
     lo: usize,
-    /// First global directed-port index owned by this shard.
-    plo: usize,
     nodes: &'a mut [P],
     topo: &'a Topology,
     cfg: EngineCfg,
-    /// Encoded-word FIFO ring per owned inbound directed port, indexed
-    /// `g - plo`.
-    rings: Vec<WordRing>,
-    /// Per owned node: round stamp of the last mail delivery.
-    mail: Vec<u64>,
+    /// Per owned node: the frames delivered for the round about to run
+    /// (see [`WordBatch`]), in inbox order; emptied by the node's step.
+    mailboxes: Vec<WordBatch>,
     /// Nodes (global ids) with mail in the round being assembled.
     touched: Vec<NodeId>,
     actives: Vec<NodeId>,
@@ -363,33 +373,20 @@ struct Shard<'a, P: NodeProgram> {
     outbox: Outbox,
 }
 
-/// Per-round bandwidth accumulator for one outbound directed edge. The
-/// stamp makes resets lazy: a slot is only zeroed when the edge first
-/// sends in a round, so idle edges cost nothing.
-#[derive(Clone, Copy, Debug)]
-struct EdgeMeter {
-    /// Round this meter was last charged in (`u64::MAX` = never).
-    round: u64,
-    /// Encoded words charged to this edge direction during that round;
-    /// the capacity checks run against this accumulator.
-    charged: u64,
-}
-
-impl EdgeMeter {
-    const IDLE: EdgeMeter = EdgeMeter { round: u64::MAX, charged: 0 };
-}
-
 /// The send side of one shard: what a [`RoundCtx`] writes through. Each
 /// send is encoded straight into its destination shard's batch and its
-/// encoded length charged to the sending edge's meter, so the length on
-/// the wire is the one number every count and check uses.
+/// encoded length charged to the sending port, so the length on the wire
+/// is the one number every count and check uses.
 #[derive(Debug)]
 struct Outbox {
     cfg: EngineCfg,
-    /// First global directed-port index owned by this shard.
-    plo: usize,
-    /// Bandwidth meter per owned outbound directed port, indexed `g - plo`.
-    meters: Vec<EdgeMeter>,
+    /// Words charged to each local port of the node being stepped, sized
+    /// to the shard's largest degree. A node sends only inside its own
+    /// step and is stepped at most once per round, so "this port this
+    /// step" is "this edge direction this round". All zero between steps.
+    charged: Vec<u64>,
+    /// The local ports charged in the current step, to reset after it.
+    dirty: Vec<PortId>,
     /// Outgoing encoded batches per destination shard (self entry
     /// delivered locally).
     batches: Vec<WordBatch>,
@@ -399,23 +396,26 @@ struct Outbox {
 }
 
 impl Outbox {
-    /// Encodes `msg` onto outbound directed port `g` of node `from` and
-    /// charges its length. With `budgeted`, a message that does not fit
-    /// in the edge's remaining capacity this round is taken back out of
-    /// the batch and `false` is returned; every other outcome is `true`.
+    /// Encodes `msg` onto local port `p` of the node being stepped (whose
+    /// port 0 is global port `base`) and charges its length. With
+    /// `budgeted`, a message that does not fit in the port's remaining
+    /// capacity this step is taken back out of the batch and `false` is
+    /// returned; every other outcome is `true`.
     fn push<M: Message>(
         &mut self,
         topo: &Topology,
         round: u64,
-        from: NodeId,
-        g: usize,
+        base: usize,
+        p: PortId,
         msg: &M,
         budgeted: bool,
     ) -> bool {
         // Encode behind a placeholder header, patched once the length is
         // known.
-        let dest = topo.peer(g);
-        let batch = &mut self.batches[topo.port_node(dest) / self.cfg.chunk];
+        let from = || topo.port_node(base);
+        let dest = topo.peer(base + p);
+        let to = topo.port_node(dest);
+        let batch = &mut self.batches[to / self.cfg.chunk];
         let header = batch.len();
         batch.push(0);
         let len = {
@@ -423,53 +423,58 @@ impl Outbox {
             msg.encode(&mut w);
             w.len()
         };
-        let to = || (topo.route(g) >> 32) as NodeId;
         if len == 0 {
             batch.truncate(header);
             self.error.get_or_insert(SimError::EmptyMessage {
                 round,
-                from,
-                to: to(),
+                from: from(),
+                to,
                 tag: msg.tag(),
             });
             return true;
         }
         let words = len as u64;
-        // dmst-analysis:allow(panic-hygiene) -- sender-side port of an owned node; in range by construction
-        let slot = &mut self.meters[g - self.plo];
-        if slot.round != round {
-            *slot = EdgeMeter { round, charged: 0 };
-        }
-        if budgeted && slot.charged + words > self.cfg.capacity {
+        let charged = &mut self.charged[p];
+        if budgeted && *charged + words > self.cfg.capacity {
             batch.truncate(header);
             return false;
         }
-        slot.charged += words;
-        if self.cfg.strict && slot.charged > self.cfg.capacity {
+        if *charged == 0 {
+            self.dirty.push(p);
+        }
+        *charged += words;
+        let charged = *charged;
+        if self.cfg.strict && charged > self.cfg.capacity {
             self.error.get_or_insert(SimError::CapacityExceeded {
                 round,
-                from,
-                to: to(),
-                words: slot.charged,
+                from: from(),
+                to,
+                words: charged,
                 capacity: self.cfg.capacity,
             });
         }
         batch[header] = frame_header(dest as u32, len);
 
         let totals = &mut self.totals;
-        totals.peak_edge_words = totals.peak_edge_words.max(slot.charged);
+        totals.peak_edge_words = totals.peak_edge_words.max(charged);
         totals.messages += 1;
         totals.words += words;
         bump_tag_totals(&mut totals.by_tag, msg.tag(), words);
         true
     }
+
+    /// Clears the charges of the step that just ended.
+    fn end_step(&mut self) {
+        for p in self.dirty.drain(..) {
+            self.charged[p] = 0;
+        }
+    }
 }
 
 impl<'a, P: NodeProgram> Shard<'a, P> {
-    fn new(idx: usize, lo: usize, nodes: &'a mut [P], topo: &'a Topology, cfg: EngineCfg) -> Self {
+    fn new(lo: usize, nodes: &'a mut [P], topo: &'a Topology, cfg: EngineCfg) -> Self {
         let count = nodes.len();
-        let plo = topo.port_lo(lo);
-        let phi = topo.port_lo(lo + count);
+        let max_degree = (lo..lo + count).map(|v| topo.degree(v)).max().unwrap_or(0);
         let mut done = 0u64;
         let mut prev_done = Vec::with_capacity(nodes.len());
         let mut prev_tag = Vec::with_capacity(nodes.len());
@@ -485,14 +490,11 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             }
         }
         Self {
-            idx,
             lo,
-            plo,
             nodes,
             topo,
             cfg,
-            rings: (plo..phi).map(|_| WordRing::default()).collect(),
-            mail: vec![u64::MAX; count],
+            mailboxes: (0..count).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
             actives: Vec::new(),
             wake: BinaryHeap::new(),
@@ -507,8 +509,8 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             inbox: Vec::new(),
             outbox: Outbox {
                 cfg,
-                plo,
-                meters: vec![EdgeMeter::IDLE; phi - plo],
+                charged: vec![0; max_degree],
+                dirty: Vec::new(),
                 batches: (0..cfg.num_shards).map(|_| Vec::new()).collect(),
                 totals: ShardTotals::default(),
                 error: None,
@@ -516,24 +518,22 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
         }
     }
 
-    /// Appends a batch of inbound encoded frames (for the round about to
-    /// execute) to the destination rings, marking receivers as mailed.
-    /// Frames are routed by header word alone — payloads are copied into
-    /// the rings without decoding. The batch is emptied for recycling.
-    fn deliver(&mut self, round: u64, batch: &mut WordBatch) {
+    /// Appends a batch of inbound frames (for the round about to execute)
+    /// to the receivers' mailboxes, marking a receiver as mailed when its
+    /// mailbox was empty. Frames move whole, by header word alone — no
+    /// payload is decoded. The batch is emptied for recycling.
+    fn deliver(&mut self, batch: &mut WordBatch) {
         let mut i = 0;
         while i < batch.len() {
-            let header = batch[i];
-            let g = (header & 0xFFFF_FFFF) as usize;
-            let len = (header >> 32) as usize;
+            let (g, len) = frame_parts(batch[i]);
             let v = self.topo.port_node(g);
             let ni = v - self.lo;
-            if self.mail[ni] != round {
-                self.mail[ni] = round;
+            let mailbox = &mut self.mailboxes[ni];
+            if mailbox.is_empty() {
                 self.touched.push(v);
             }
-            // dmst-analysis:allow(panic-hygiene) -- g >= plo by shard ownership; frame bounds produced by our own send path
-            self.rings[g - self.plo].words.extend_from_slice(&batch[i + 1..i + 1 + len]);
+            // dmst-analysis:allow(panic-hygiene) -- frame bounds produced by our own send path
+            mailbox.extend_from_slice(&batch[i..i + 1 + len]);
             i += 1 + len;
         }
         batch.clear();
@@ -578,25 +578,17 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
             let ni = v - self.lo;
             let base = self.topo.port_lo(v);
             self.inbox.clear();
-            if self.mail[ni] == round {
-                for &p in self.topo.drain_order(v) {
-                    // dmst-analysis:allow(panic-hygiene) -- port base of an owned node; in range by construction
-                    let ring = &mut self.rings[base + p as usize - self.plo];
-                    debug_assert_eq!(ring.head, 0, "ring left mid-drain");
-                    while ring.head < ring.words.len() {
-                        let used;
-                        {
-                            let mut r = WireReader::new(&ring.words[ring.head..]);
-                            self.inbox.push((p as PortId, P::Msg::decode(&mut r)));
-                            debug_assert!(r.consumed() >= 1, "decode consumed no words");
-                            used = r.consumed().max(1);
-                        }
-                        ring.head += used;
-                    }
-                    ring.words.clear();
-                    ring.head = 0;
-                }
+            let mailbox = &mut self.mailboxes[ni];
+            let mut at = 0;
+            while at < mailbox.len() {
+                let (g, len) = frame_parts(mailbox[at]);
+                // dmst-analysis:allow(panic-hygiene) -- frame bounds produced by our own send path
+                let mut r = WireReader::new(&mailbox[at + 1..at + 1 + len]);
+                self.inbox.push((g - base, P::Msg::decode(&mut r)));
+                debug_assert_eq!(r.consumed(), len, "decode must consume exactly its frame");
+                at += 1 + len;
             }
+            mailbox.clear();
             let mut ctx = RoundCtx {
                 round,
                 id: v,
@@ -607,6 +599,7 @@ impl<'a, P: NodeProgram> Shard<'a, P> {
                 outbox: &mut self.outbox,
             };
             self.nodes[ni].on_round(&mut ctx);
+            self.outbox.end_step();
             if let Some(e) = self.outbox.error.take() {
                 error = Some(e);
                 break 'step;
@@ -675,19 +668,25 @@ fn shard_round<P: NodeProgram>(
     round: u64,
     primed: bool,
 ) -> RoundSummary {
-    let me = shard.idx;
-    let mut own = std::mem::take(&mut shard.outbox.batches[me]);
-    shard.deliver(round, &mut own);
-    shard.outbox.batches[me] = own;
-    if primed {
-        for s in 0..links.from.len() {
-            let Some(rx) = &links.from[s] else { continue };
-            // dmst-analysis:allow(panic-hygiene) -- peer holds its sender until Halt; a closed channel is a bug
-            let mut batch = rx.recv().expect("peer shard alive until halt");
-            shard.deliver(round, &mut batch);
-            if let Some(ret) = &links.ret_to[s] {
-                let _ = ret.send(batch);
+    // Ascending source shards, this shard's own batch at its own index:
+    // senders arrive in ascending id order, which makes each mailbox the
+    // node's inbox in order.
+    for s in 0..links.from.len() {
+        match &links.from[s] {
+            None => {
+                let mut own = std::mem::take(&mut shard.outbox.batches[s]);
+                shard.deliver(&mut own);
+                shard.outbox.batches[s] = own;
             }
+            Some(rx) if primed => {
+                // dmst-analysis:allow(panic-hygiene) -- peer holds its sender until Halt; a closed channel is a bug
+                let mut batch = rx.recv().expect("peer shard alive until halt");
+                shard.deliver(&mut batch);
+                if let Some(ret) = &links.ret_to[s] {
+                    let _ = ret.send(batch);
+                }
+            }
+            Some(_) => {}
         }
     }
     let summary = shard.execute(round);
@@ -696,31 +695,46 @@ fn shard_round<P: NodeProgram>(
         let batch = std::mem::take(&mut shard.outbox.batches[s]);
         // dmst-analysis:allow(panic-hygiene) -- receiver outlives every round of the scope; failure is a bug
         tx.send(batch).expect("peer shard alive until halt");
-        if let Some(ret) = &links.ret_from[s] {
-            if let Ok(recycled) = ret.try_recv() {
-                shard.outbox.batches[s] = recycled;
-            }
+        // The peer hands last round's batch back as soon as it has
+        // delivered it this round. Waiting for it (instead of growing a
+        // fresh buffer whenever it is late) keeps the allocations of a
+        // run independent of thread timing.
+        if let (true, Some(ret)) = (primed, &links.ret_from[s]) {
+            // dmst-analysis:allow(panic-hygiene) -- the peer returns every batch it delivers; failure is a bug
+            shard.outbox.batches[s] = ret.recv().expect("peer shard alive until halt");
         }
     }
     summary
 }
 
+/// A worker shard, built on its own thread so that the thread allocates
+/// and frees only its own state: reports its starting `done` count and
+/// census, runs rounds until `Halt`, and returns its run totals.
 fn worker_loop<P: NodeProgram>(
     mut shard: Shard<'_, P>,
     links: Links,
     decisions: Receiver<Decision>,
-    summaries: Sender<RoundSummary>,
-    totals: Sender<ShardTotals>,
-) {
+    summaries: SyncSender<RoundSummary>,
+) -> ShardTotals {
+    let start = RoundSummary {
+        round_messages: 0,
+        done: shard.done,
+        census: shard.census.clone(),
+        next_due: Some(0),
+        error: None,
+    };
+    if summaries.send(start).is_err() {
+        return ShardTotals::default(); // coordinator gone
+    }
     let mut primed = false;
     while let Ok(Decision::Round(round)) = decisions.recv() {
         let summary = shard_round(&mut shard, &links, round, primed);
         primed = true;
         if summaries.send(summary).is_err() {
-            return; // coordinator gone (panic unwinding elsewhere)
+            break; // coordinator gone (panic unwinding elsewhere)
         }
     }
-    let _ = totals.send(std::mem::take(&mut shard.outbox.totals));
+    std::mem::take(&mut shard.outbox.totals)
 }
 
 /// A network of nodes executing a [`NodeProgram`] over a [`Topology`].
@@ -795,61 +809,73 @@ impl<P: NodeProgram> Network<P> {
         };
 
         let topo = &self.topo;
-        let mut shards: Vec<Shard<'_, P>> = Vec::with_capacity(num_shards);
+        let mut parts: Vec<&mut [P]> = Vec::with_capacity(num_shards);
         {
             let mut rest: &mut [P] = &mut self.nodes;
-            for s in 0..num_shards {
+            for _ in 0..num_shards {
                 let len = chunk.min(rest.len());
                 let (head, tail) = rest.split_at_mut(len);
                 rest = tail;
-                shards.push(Shard::new(s, s * chunk, head, topo, cfg));
+                parts.push(head);
             }
         }
 
         // Cross-shard plumbing: batch + recycle channels per ordered pair,
-        // decision/summary/totals channels per worker. With one shard the
-        // links stay empty and no thread is spawned.
+        // decision/summary channels per worker. With one shard the links
+        // stay empty and no thread is spawned.
         let mut links: Vec<Links> = (0..num_shards).map(|_| Links::empty(num_shards)).collect();
         for a in 0..num_shards {
             for b in 0..num_shards {
                 if a == b {
                     continue;
                 }
-                let (tx, rx) = mpsc::channel();
+                let (tx, rx) = link();
                 links[a].to[b] = Some(tx);
                 links[b].from[a] = Some(rx);
-                let (rtx, rrx) = mpsc::channel();
+                let (rtx, rrx) = link();
                 links[b].ret_to[a] = Some(rtx);
                 links[a].ret_from[b] = Some(rrx);
             }
         }
 
-        let mut done_total: u64 = shards.iter().map(|s| s.done).sum();
-        let mut censuses: Vec<Vec<(&'static str, u64)>> =
-            shards.iter().map(|s| s.census.clone()).collect();
+        // One shard runs on this thread. Several run on worker threads
+        // of their own, shard 0 included, while this thread only
+        // coordinates: a worker builds its shard on its own thread, so
+        // every executor buffer that grows during the run is allocated,
+        // grown and freed by one worker, and none of them lands in the
+        // caller's heap between the caller's own allocations.
+        let mut inline = None;
+        let mut censuses: Vec<Vec<(&'static str, u64)>> = vec![Vec::new(); num_shards];
+        let mut done_total: u64 = 0;
         let mut next_dues: Vec<Option<u64>> = vec![Some(0); num_shards];
         let mut inflight: u64 = 0;
         let max_rounds = config.max_rounds;
 
-        let mut shard_iter = shards.into_iter();
-        // dmst-analysis:allow(panic-hygiene) -- num_shards >= 1 is asserted at partitioning
-        let mut shard0 = shard_iter.next().expect("at least one shard");
-        let mut links_iter = links.into_iter();
-        // dmst-analysis:allow(panic-hygiene) -- same length as shards by construction
-        let links0 = links_iter.next().expect("at least one shard");
-
         std::thread::scope(|scope| {
-            let mut decision_txs = Vec::with_capacity(num_shards - 1);
-            let mut summary_rxs = Vec::with_capacity(num_shards - 1);
-            let mut totals_rxs = Vec::with_capacity(num_shards - 1);
-            for (shard, link) in shard_iter.zip(links_iter) {
-                let (dtx, drx) = mpsc::channel();
-                let (stx, srx) = mpsc::channel();
-                let (ttx, trx) = mpsc::channel();
+            let mut decision_txs = Vec::with_capacity(num_shards);
+            let mut summary_rxs = Vec::with_capacity(num_shards);
+            let mut workers = Vec::with_capacity(num_shards);
+            for (s, (part, links)) in parts.into_iter().zip(links).enumerate() {
+                if num_shards == 1 {
+                    let shard = Shard::new(0, part, topo, cfg);
+                    done_total = shard.done;
+                    censuses[0] = shard.census.clone();
+                    inline = Some((shard, links));
+                    continue;
+                }
+                let (dtx, drx) = link();
+                let (stx, srx) = link();
                 decision_txs.push(dtx);
                 summary_rxs.push(srx);
-                totals_rxs.push(trx);
-                scope.spawn(move || worker_loop(shard, link, drx, stx, ttx));
+                let lo = s * chunk;
+                let worker = move || worker_loop(Shard::new(lo, part, topo, cfg), links, drx, stx);
+                workers.push(scope.spawn(worker));
+            }
+            for (s, srx) in summary_rxs.iter().enumerate() {
+                // dmst-analysis:allow(panic-hygiene) -- a worker reports its start before any round
+                let start = srx.recv().expect("worker alive");
+                done_total += start.done;
+                censuses[s] = start.census;
             }
 
             let mut stats = RunStats::default();
@@ -885,26 +911,25 @@ impl<P: NodeProgram> Network<P> {
                     // dmst-analysis:allow(panic-hygiene) -- workers only exit after Halt; a dead worker is a bug
                     dtx.send(Decision::Round(round)).expect("worker alive");
                 }
-                let s0 = shard_round(&mut shard0, &links0, round, primed);
-                primed = true;
-
-                let mut round_messages = s0.round_messages;
-                done_total = s0.done;
-                next_dues[0] = s0.next_due;
-                censuses[0] = s0.census;
-                let mut error = s0.error;
-                for (s, srx) in summary_rxs.iter().enumerate() {
-                    // dmst-analysis:allow(panic-hygiene) -- worker sends one summary per Round decision
-                    let summary = srx.recv().expect("worker alive");
+                let mut round_messages = 0;
+                let mut error = None;
+                done_total = 0;
+                let mut absorb = |s: usize, summary: RoundSummary| {
                     round_messages += summary.round_messages;
                     done_total += summary.done;
-                    // dmst-analysis:allow(panic-hygiene) -- slot s + 1 exists: next_dues holds num_shards entries
-                    next_dues[s + 1] = summary.next_due;
-                    // dmst-analysis:allow(panic-hygiene) -- slot s + 1 exists: censuses holds num_shards entries
-                    censuses[s + 1] = summary.census;
+                    next_dues[s] = summary.next_due;
+                    censuses[s] = summary.census;
                     if error.is_none() {
                         error = summary.error;
                     }
+                };
+                if let Some((shard, links)) = &mut inline {
+                    absorb(0, shard_round(shard, links, round, primed));
+                    primed = true;
+                }
+                for (s, srx) in summary_rxs.iter().enumerate() {
+                    // dmst-analysis:allow(panic-hygiene) -- worker sends one summary per Round decision
+                    absorb(s, srx.recv().expect("worker alive"));
                 }
                 if let Some(e) = error {
                     break Err(e);
@@ -917,13 +942,21 @@ impl<P: NodeProgram> Network<P> {
                 round += 1;
             };
 
+            let mut all_totals = Vec::with_capacity(num_shards);
+            if let Some((shard, _)) = &mut inline {
+                all_totals.push(std::mem::take(&mut shard.outbox.totals));
+            }
             for dtx in &decision_txs {
                 let _ = dtx.send(Decision::Halt);
             }
-            let mut all_totals = vec![std::mem::take(&mut shard0.outbox.totals)];
-            for trx in &totals_rxs {
-                // dmst-analysis:allow(panic-hygiene) -- every worker sends its totals before exiting
-                all_totals.push(trx.recv().expect("worker exits cleanly"));
+            // Joining (not just collecting a result) means each worker
+            // thread has freed everything it held, and returned its
+            // allocator arena, before this thread allocates again.
+            for worker in workers {
+                match worker.join() {
+                    Ok(t) => all_totals.push(t),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
             outcome.map(|()| {
                 for t in all_totals {
@@ -1026,62 +1059,74 @@ mod tests {
         assert_eq!(stats.messages, 9);
     }
 
-    /// Node 0 drains `queue` through `try_send` on port 0, after `plain`
-    /// plain sends of `filler` each round, logging how many queued
-    /// messages went out per round and every message `try_send` handed
-    /// back. Node 1 only listens.
+    /// Drains one queue per port through `try_send`, after `plain` plain
+    /// sends of `filler` on each such port every round, logging per port
+    /// how many queued messages went out per round and every message
+    /// `try_send` handed back. A node with no queues only listens.
     struct Drip<M> {
-        queue: std::collections::VecDeque<M>,
+        queues: Vec<std::collections::VecDeque<M>>,
         filler: M,
         plain: u32,
-        per_round: Vec<usize>,
-        bounced: Vec<M>,
+        per_round: Vec<Vec<usize>>,
+        bounced: Vec<Vec<M>>,
     }
 
     impl<M: Message> NodeProgram for Drip<M> {
         type Msg = M;
         fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
-            if self.queue.is_empty() {
-                return;
-            }
-            for _ in 0..self.plain {
-                ctx.send(0, self.filler.clone());
-            }
-            let mut sent = 0;
-            while let Some(m) = self.queue.pop_front() {
-                if let Err(m) = ctx.try_send(0, m) {
-                    self.bounced.push(m.clone());
-                    self.queue.push_front(m);
-                    break;
+            for (p, queue) in self.queues.iter_mut().enumerate() {
+                if queue.is_empty() {
+                    continue;
                 }
-                sent += 1;
+                for _ in 0..self.plain {
+                    ctx.send(p, self.filler.clone());
+                }
+                let mut sent = 0;
+                while let Some(m) = queue.pop_front() {
+                    if let Err(m) = ctx.try_send(p, m) {
+                        self.bounced[p].push(m.clone());
+                        queue.push_front(m);
+                        break;
+                    }
+                    sent += 1;
+                }
+                self.per_round[p].push(sent);
             }
-            self.per_round.push(sent);
         }
         fn is_done(&self) -> bool {
-            self.queue.is_empty()
+            self.queues.iter().all(|q| q.is_empty())
         }
     }
 
-    /// Runs [`Drip`] with 20 queued messages `make(0..20)` and checks the
-    /// `try_send` contract; returns the stats for cross-shard comparison.
+    /// Runs [`Drip`] on `n` nodes joined by `edges`, with 20 queued
+    /// messages `make(0..20)` on every `(node, port)` in `senders`, and
+    /// checks the `try_send` contract on each of them; returns the stats
+    /// for cross-shard comparison.
     fn check_drip<M: Message + PartialEq + std::fmt::Debug + Send>(
+        (n, edges): (usize, &[(NodeId, NodeId, u64)]),
+        senders: &[(NodeId, PortId)],
         make: impl Fn(u64) -> M,
         bandwidth: u32,
         plain: u32,
         shards: u32,
     ) -> RunStats {
         const TOTAL: usize = 20;
-        let mut net = Network::new(pair(), |i| Drip {
-            queue: if i.id == 0 {
-                (0..TOTAL as u64).map(&make).collect()
-            } else {
-                Default::default()
-            },
-            filler: make(u64::MAX),
-            plain,
-            per_round: Vec::new(),
-            bounced: Vec::new(),
+        let topo = Topology::new(n, edges).unwrap();
+        let mut net = Network::new(topo, |i| {
+            let queue = |p| -> std::collections::VecDeque<M> {
+                if senders.contains(&(i.id, p)) {
+                    (0..TOTAL as u64).map(&make).collect()
+                } else {
+                    Default::default()
+                }
+            };
+            Drip {
+                queues: (0..i.ports.len()).map(queue).collect(),
+                filler: make(u64::MAX),
+                plain,
+                per_round: vec![Vec::new(); i.ports.len()],
+                bounced: vec![Vec::new(); i.ports.len()],
+            }
         });
         let cfg = RunConfig { bandwidth, shards, ..RunConfig::congest() };
         let stats = net.run(&cfg).expect("try_send never oversubscribes in strict mode");
@@ -1089,29 +1134,134 @@ mod tests {
         make(0).encode(&mut WireWriter::new(&mut buf));
         let len = buf.len() as u64;
         let per_round = (cfg.capacity_words() / len - u64::from(plain)) as usize;
-        let node = &net.nodes()[0];
-        // Exactly the remaining budget's worth goes out each round, the
-        // budget resets every round, and the tail goes out last.
+        // Exactly the remaining budget's worth goes out on every port each
+        // round, whatever the node's other ports or the shard's other
+        // senders were charged; the budget resets every step, and the
+        // tail goes out last.
         let expected: Vec<usize> =
             (0..TOTAL).step_by(per_round).map(|s| per_round.min(TOTAL - s)).collect();
-        assert_eq!(node.per_round, expected, "b = {bandwidth}, {len}-word messages");
         // Every full round bounced the next queued message, unchanged.
         let bounced: Vec<M> =
             (per_round..TOTAL).step_by(per_round).map(|k| make(k as u64)).collect();
-        assert_eq!(node.bounced, bounced);
+        for &(v, p) in senders {
+            let node = &net.nodes()[v];
+            let at = format!("node {v} port {p}, b = {bandwidth}, {len}-word messages");
+            assert_eq!(node.per_round[p], expected, "{at}");
+            assert_eq!(node.bounced[p], bounced, "{at}");
+        }
         assert_eq!(stats.peak_edge_words, cfg.capacity_words());
         stats
     }
 
+    /// Sends `burst[p]` one-word messages on each port `p` in round 0.
+    struct Burst {
+        burst: Vec<u32>,
+    }
+
+    impl NodeProgram for Burst {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+            for (p, k) in self.burst.drain(..).enumerate() {
+                for _ in 0..k {
+                    ctx.send(p, 7);
+                }
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.burst.is_empty()
+        }
+    }
+
     #[test]
     fn try_send_fills_exactly_the_remaining_budget() {
-        for bandwidth in [1, 2] {
-            for plain in [0, 3] {
-                let single = check_drip(|i| i, bandwidth, plain, 1);
-                assert_eq!(single, check_drip(|i| i, bandwidth, plain, 2));
-                let double = check_drip(|i| (i, !i), bandwidth, plain, 1);
-                assert_eq!(double, check_drip(|i| (i, !i), bandwidth, plain, 2));
+        let pair: &[(NodeId, NodeId, u64)] = &[(0, 1, 1)];
+        // Node 0 drains both of its ports in one step (fan-out), or nodes
+        // 0 and 1, stepped in the same round and in the same shard at
+        // shards 1 and 2, each fill their own port 0 (fan-in to node 2).
+        let fan_out: &[(NodeId, NodeId, u64)] = &[(0, 1, 1), (0, 2, 1)];
+        let fan_in: &[(NodeId, NodeId, u64)] = &[(0, 2, 1), (1, 2, 1)];
+        let cases = [
+            ((2, pair), &[(0, 0)][..]),
+            ((3, fan_out), &[(0, 0), (0, 1)][..]),
+            ((3, fan_in), &[(0, 0), (1, 0)][..]),
+        ];
+        for (topo, senders) in cases {
+            for bandwidth in [1, 2] {
+                for plain in [0, 3] {
+                    let single = check_drip(topo, senders, |i| i, bandwidth, plain, 1);
+                    assert_eq!(single, check_drip(topo, senders, |i| i, bandwidth, plain, 2));
+                    let double = check_drip(topo, senders, |i| (i, !i), bandwidth, plain, 1);
+                    assert_eq!(double, check_drip(topo, senders, |i| (i, !i), bandwidth, plain, 2));
+                }
             }
+        }
+        // A strict overrun names the overrun edge direction, not another
+        // port of the same sender or another sender's port with the same
+        // local index. b = 1 admits 8 one-word messages per port.
+        for shards in [1, 2] {
+            let cfg = RunConfig { shards, ..RunConfig::congest() };
+            let bursts = [
+                (fan_out, [vec![8, 9], vec![], vec![]], 0),
+                (fan_out, [vec![9, 8], vec![], vec![]], 0),
+                (fan_in, [vec![8], vec![9], vec![]], 1),
+            ];
+            for (edges, burst, from) in bursts {
+                let topo = Topology::new(3, edges).unwrap();
+                let to =
+                    topo.ports(from)[burst[from].iter().position(|&k| k == 9).unwrap()].neighbor;
+                let mut net = Network::new(topo, |i| Burst { burst: burst[i.id].clone() });
+                let err = net.run(&cfg).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::CapacityExceeded { round: 0, from, to, words: 9, capacity: 8 },
+                    "shards = {shards}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inbox_lists_senders_ascending_fifo_within_each() {
+        /// Every node but `RECEIVER` sends `(id, k)` for `k = 0, 1, 2` on
+        /// its one port in round 0; the receiver logs its inbox.
+        const RECEIVER: NodeId = 3;
+        struct Fanin {
+            id: NodeId,
+            sent: bool,
+            got: Vec<(PortId, (u64, u64))>,
+        }
+        impl NodeProgram for Fanin {
+            type Msg = (u64, u64);
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, (u64, u64)>) {
+                if !self.sent && self.id != RECEIVER {
+                    for k in 0..3 {
+                        ctx.send(0, (self.id as u64, k));
+                    }
+                }
+                self.sent = true;
+                self.got.extend_from_slice(ctx.inbox());
+            }
+            fn is_done(&self) -> bool {
+                self.sent
+            }
+        }
+        // The receiver's ports list its neighbors descending (6, 5, ..., 0),
+        // so port order disagrees with the required sender order.
+        let n = 7;
+        let edges: Vec<(NodeId, NodeId, u64)> =
+            (0..n).rev().filter(|&v| v != RECEIVER).map(|v| (RECEIVER, v, 1)).collect();
+        let senders: Vec<NodeId> = (0..n).filter(|&v| v != RECEIVER).collect();
+        for shards in [1, 2, 3, n as u32] {
+            let topo = Topology::new(n, &edges).unwrap();
+            let ports = topo.ports(RECEIVER).to_vec();
+            let mut net = Network::new(topo, |i| Fanin { id: i.id, sent: false, got: Vec::new() });
+            net.run(&RunConfig { shards, ..RunConfig::congest() }).unwrap();
+            let got = &net.nodes()[RECEIVER].got;
+            let expected: Vec<(NodeId, (u64, u64))> =
+                senders.iter().flat_map(|&v| (0..3).map(move |k| (v, (v as u64, k)))).collect();
+            let seen: Vec<(NodeId, (u64, u64))> =
+                got.iter().map(|&(p, m)| (ports[p].neighbor, m)).collect();
+            assert_eq!(seen, expected, "shards = {shards}");
         }
     }
 

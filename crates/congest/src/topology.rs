@@ -2,9 +2,9 @@
 //!
 //! Internally the adjacency is a flat CSR arena (one `Vec<Port>` plus an
 //! offset table) so the executor's hot loop walks contiguous memory, and
-//! every *directed* port carries a precomputed, word-packed route header
-//! (destination node and destination-local port in one `u64`) so message
-//! delivery needs no lookups beyond a single indexed load.
+//! every *directed* port records its reverse port and its owning node, so
+//! a send finds the receiver and the port the message arrives on with two
+//! indexed loads.
 
 use crate::error::SimError;
 
@@ -45,9 +45,9 @@ pub struct Port {
 ///
 /// Each undirected edge contributes one *directed port* per endpoint. A
 /// directed port is identified globally by `port_start(v) + p` for node `v`'s
-/// local port `p`; global port ids are node-contiguous, which is what lets
-/// the sharded executor hand each shard an exclusive, contiguous slice of
-/// every per-port table.
+/// local port `p`; global port ids are node-contiguous, so a message framed
+/// with its destination's global port carries both the receiving node and
+/// the local port it arrives on.
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
@@ -57,22 +57,11 @@ pub struct Topology {
     port_start: Vec<u32>,
     /// Flat adjacency arena, `2m` entries.
     ports: Vec<Port>,
-    /// Word-packed route header per global directed port `g`:
-    /// `(destination node) << 32 | (destination-local reverse port)`. The
-    /// executor reads the high half to route a message and the low half to
-    /// stamp the receiver-side port it arrives on.
-    route: Vec<u64>,
     /// Global index of the reverse directed port (`peer[g]` is the port at
     /// the other endpoint of the same edge).
     peer: Vec<u32>,
     /// Owning node of each global directed port (inverse of `port_start`).
     port_node: Vec<u32>,
-    /// Per node (same CSR offsets): the node's *local* port ids sorted by
-    /// neighbor id. Draining inbound ring buffers in this order reproduces
-    /// the sequential executor's inbox order (senders step in id order, and
-    /// each sender's messages to one receiver travel one edge in FIFO
-    /// order), which is the determinism contract of the sharded executor.
-    drain: Vec<u32>,
 }
 
 impl Topology {
@@ -127,7 +116,6 @@ impl Topology {
         let total = acc as usize;
         let dummy = Port { neighbor: 0, edge: 0, weight: 0 };
         let mut ports = vec![dummy; total];
-        let mut route = vec![0u64; total];
         let mut peer = vec![0u32; total];
         let mut port_node = vec![0u32; total];
         let mut cursor: Vec<u32> = port_start[..n].to_vec();
@@ -138,10 +126,6 @@ impl Topology {
             cursor[v] += 1;
             ports[gu as usize] = Port { neighbor: v, edge: eid, weight: w };
             ports[gv as usize] = Port { neighbor: u, edge: eid, weight: w };
-            let pu = u64::from(gu - port_start[u]);
-            let pv = u64::from(gv - port_start[v]);
-            route[gu as usize] = (v as u64) << 32 | pv;
-            route[gv as usize] = (u as u64) << 32 | pu;
             peer[gu as usize] = gv;
             peer[gv as usize] = gu;
         }
@@ -150,18 +134,8 @@ impl Topology {
                 port_node[g as usize] = v as u32;
             }
         }
-        let mut drain = vec![0u32; total];
-        for v in 0..n {
-            let lo = port_start[v] as usize;
-            let hi = port_start[v + 1] as usize;
-            let d = &mut drain[lo..hi];
-            for (p, slot) in d.iter_mut().enumerate() {
-                *slot = p as u32;
-            }
-            d.sort_unstable_by_key(|&p| ports[lo + p as usize].neighbor);
-        }
 
-        Ok(Self { n, edges: edges.to_vec(), port_start, ports, route, peer, port_node, drain })
+        Ok(Self { n, edges: edges.to_vec(), port_start, ports, peer, port_node })
     }
 
     /// Number of nodes.
@@ -214,13 +188,6 @@ impl Topology {
         self.port_start[v] as usize..self.port_start[v + 1] as usize
     }
 
-    /// The packed route header of global port `g`:
-    /// `dest_node << 32 | dest_local_port`.
-    #[inline]
-    pub(crate) fn route(&self, g: usize) -> u64 {
-        self.route[g]
-    }
-
     /// Global index of the reverse directed port of `g`.
     #[inline]
     pub(crate) fn peer(&self, g: usize) -> usize {
@@ -233,17 +200,11 @@ impl Topology {
         self.port_node[g] as usize
     }
 
-    /// Node `v`'s local port ids sorted by neighbor id (inbound drain
-    /// order; see the field docs).
-    #[inline]
-    pub(crate) fn drain_order(&self, v: NodeId) -> &[u32] {
-        &self.drain[self.port_range(v)]
-    }
-
     /// The port at `ports(v)[p].neighbor` leading back to `v`.
     #[cfg(test)]
     pub(crate) fn reverse_port(&self, v: NodeId, p: PortId) -> PortId {
-        (self.route[self.port_start[v] as usize + p] & 0xFFFF_FFFF) as PortId
+        let g = self.peer(self.port_lo(v) + p);
+        g - self.port_lo(self.port_node(g))
     }
 
     /// Whether the graph is connected (every pair of nodes joined by a path).
@@ -291,32 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_routes_and_peers_agree_with_ports() {
+    fn peers_agree_with_ports() {
         let t = Topology::new(4, &[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4), (0, 2, 5)]).unwrap();
         for v in 0..4 {
             for (p, port) in t.ports(v).iter().enumerate() {
                 let g = t.port_lo(v) + p;
                 assert_eq!(t.port_node(g), v);
-                let header = t.route(g);
-                assert_eq!((header >> 32) as usize, port.neighbor);
-                assert_eq!((header & 0xFFFF_FFFF) as usize, t.reverse_port(v, p));
-                // The peer port lives at the neighbor and routes back here.
+                // The peer port lives at the neighbor, on the same edge,
+                // and leads back here.
                 let peer = t.peer(g);
                 assert_eq!(t.port_node(peer), port.neighbor);
                 assert_eq!(t.peer(peer), g);
-                assert_eq!(peer, t.port_lo(port.neighbor) + t.reverse_port(v, p));
+                assert_eq!(t.ports(port.neighbor)[peer - t.port_lo(port.neighbor)].edge, port.edge);
             }
         }
-    }
-
-    #[test]
-    fn drain_order_sorts_ports_by_neighbor() {
-        // Node 3's adjacency is built in edge-input order (2, 0, 1); the
-        // drain order must visit neighbors ascending (0, 1, 2).
-        let t = Topology::new(4, &[(3, 2, 1), (3, 0, 1), (3, 1, 1)]).unwrap();
-        let nbrs: Vec<usize> =
-            t.drain_order(3).iter().map(|&p| t.ports(3)[p as usize].neighbor).collect();
-        assert_eq!(nbrs, vec![0, 1, 2]);
     }
 
     #[test]

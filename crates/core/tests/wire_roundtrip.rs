@@ -1,9 +1,9 @@
 //! Wire-format round-trip properties for the Elkin protocol: for every
 //! [`Msg`] variant, `decode(encode(m)) == m`, decode consumes exactly the
 //! words encode wrote, and that count lies in `1..=UNIT_WORDS` — the
-//! length contract the executor's word rings rely on (decode is
-//! self-delimiting; a mismatch here would desynchronize every later
-//! message in a ring). The count is the message's bandwidth charge, so a
+//! length contract the executor's drain checks (it decodes each message
+//! from its own frame and debug-asserts that decode consumed all of it).
+//! The count is the message's bandwidth charge, so a
 //! message longer than one unit would be deferred by `try_send` forever at
 //! `b = 1`.
 //!
@@ -17,7 +17,7 @@ use dmst_core::{CandKey, Candidate, Msg};
 use proptest::prelude::*;
 
 /// Encode, check the encoded length, decode, check identity and that the
-/// reader consumed exactly the encoded span (ring-cursor advance).
+/// reader consumed exactly the encoded span (the frame length).
 fn check(m: &Msg) -> Result<(), TestCaseError> {
     let mut buf = Vec::new();
     let mut w = WireWriter::new(&mut buf);
@@ -113,9 +113,9 @@ proptest! {
         check(&build(sel, small, small2, big, big2, big3, flag, flag2))?;
     }
 
-    /// Ring behavior: messages encoded back-to-back into one buffer (no
-    /// per-message framing, exactly like an executor word ring) decode
-    /// sequentially to the original sequence, each consuming its own span.
+    /// Self-delimiting: messages encoded back-to-back into one buffer (no
+    /// per-message framing) decode sequentially to the original sequence,
+    /// each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
         sels in proptest::collection::vec(0usize..39, 1..8),
