@@ -8,7 +8,8 @@
 //! interval contains the destination ("it finds a child u of v whose
 //! interval I(u) contains I(rF), and sends the message to this child").
 //!
-//! These are the pure helpers used by the Stage C/D code; properties
+//! These are the pure helpers behind Stage A's assignment (carried by
+//! `Params`) and Stage D's routing of `Assign` answers; properties
 //! (partition, nesting, routability) are tested here directly.
 
 /// Splits a parent interval `[start, start + 1 + Σ sizes)` into the

@@ -47,18 +47,17 @@ const TAG_FLOOD_ACK: u8 = 23;
 const TAG_SYNC_NO_FLOOD: u8 = 24;
 const TAG_SYNC_UP: u8 = 25;
 const TAG_SYNC_START: u8 = 26;
-const TAG_INTERVAL: u8 = 27;
-const TAG_REGISTER: u8 = 28;
-const TAG_REG_DONE: u8 = 29;
-const TAG_INIT_COARSE: u8 = 30;
-const TAG_COARSE_ANNOUNCE: u8 = 31;
-const TAG_FRAG_MWOE_UP: u8 = 32;
-const TAG_CANDIDATE: u8 = 33;
-const TAG_UP_DONE: u8 = 34;
-const TAG_ASSIGN: u8 = 35;
-const TAG_NEW_COARSE: u8 = 36;
-const TAG_MARK_PATH: u8 = 37;
-const TAG_MARK_CROSS: u8 = 38;
+const TAG_REGISTER: u8 = 27;
+const TAG_REG_DONE: u8 = 28;
+const TAG_INIT_COARSE: u8 = 29;
+const TAG_COARSE_ANNOUNCE: u8 = 30;
+const TAG_FRAG_MWOE_UP: u8 = 31;
+const TAG_CANDIDATE: u8 = 32;
+const TAG_UP_DONE: u8 = 33;
+const TAG_ASSIGN: u8 = 34;
+const TAG_NEW_COARSE: u8 = 35;
+const TAG_MARK_PATH: u8 = 36;
+const TAG_MARK_CROSS: u8 = 37;
 
 /// Writes a [`CandKey`] as three full words (the weight needs all 64
 /// bits; the endpoints get whole words so the key stays one fixed shape
@@ -91,7 +90,8 @@ pub enum Msg {
         /// Height of that subtree (max depth below the sender).
         height: u64,
     },
-    /// Root broadcast of the globally agreed parameters.
+    /// Root broadcast of the globally agreed parameters, carrying each
+    /// receiver's routing interval on the way down.
     Params {
         /// Number of vertices.
         n: u64,
@@ -101,6 +101,9 @@ pub enum Msg {
         k: u64,
         /// Absolute round at which Stage B begins.
         t0: u64,
+        /// First slot of the receiver's interval (its own slot); the
+        /// interval's length is the receiver's BFS subtree size.
+        start: u64,
     },
 
     // ---- Stage B: Controlled-GHS (paper §4) ----
@@ -216,14 +219,9 @@ pub enum Msg {
         start: u64,
     },
 
-    // ---- Stage C: intervals and fragment registration (paper §3) ----
-    /// Parent assigns a child its interval `[start, start + size)`.
-    Interval {
-        /// First slot of the child's interval (the child's own slot).
-        start: u64,
-        /// Interval length (the child's BFS subtree size).
-        size: u64,
-    },
+    // ---- Stage C: fragment registration (paper §3). The intervals
+    // themselves ride Stage A's `Params`; the tag keeps its historical
+    // name `c:intervals`, which perfbench's tag table reports. ----
     /// Base-fragment root registers `(its slot)` with the BFS root;
     /// pipelined up the BFS tree.
     Register {
@@ -334,9 +332,7 @@ impl Message for Msg {
             | Msg::SyncNoFlood { .. }
             | Msg::SyncUp { .. }
             | Msg::SyncStart { .. } => "b:sync",
-            Msg::Interval { .. } | Msg::Register { .. } | Msg::RegDone | Msg::InitCoarse { .. } => {
-                "c:intervals"
-            }
+            Msg::Register { .. } | Msg::RegDone | Msg::InitCoarse { .. } => "c:intervals",
             Msg::CoarseAnnounce { .. } => "d:announce",
             Msg::FragMwoeUp { .. } => "d:fragmwoe",
             Msg::Candidate { .. } | Msg::UpDone => "d:upcast",
@@ -354,12 +350,13 @@ impl Message for Msg {
                 w.pack(*size); // subtree size <= n
                 w.word(*height);
             }
-            Msg::Params { n, h, k, t0 } => {
+            Msg::Params { n, h, k, t0, start } => {
                 w.tag(TAG_PARAMS);
                 w.pack(*n);
                 w.word(*h);
                 w.word(*k);
                 w.word(*t0);
+                w.word(*start);
             }
             Msg::FragAnnounce { frag, me } => {
                 w.tag(TAG_FRAG_ANNOUNCE);
@@ -437,11 +434,6 @@ impl Message for Msg {
                 w.word(u64::from(*phase));
                 w.word(*start);
             }
-            Msg::Interval { start, size } => {
-                w.tag(TAG_INTERVAL);
-                w.pack(*start); // slots are < n
-                w.word(*size);
-            }
             Msg::Register { slot } => {
                 w.tag(TAG_REGISTER);
                 w.pack(*slot);
@@ -496,7 +488,13 @@ impl Message for Msg {
             TAG_BFS => Msg::Bfs,
             TAG_BFS_CHILD => Msg::BfsChild,
             TAG_SIZE_UP => Msg::SizeUp { size: r.packed(), height: r.word() },
-            TAG_PARAMS => Msg::Params { n: r.packed(), h: r.word(), k: r.word(), t0: r.word() },
+            TAG_PARAMS => Msg::Params {
+                n: r.packed(),
+                h: r.word(),
+                k: r.word(),
+                t0: r.word(),
+                start: r.word(),
+            },
             TAG_FRAG_ANNOUNCE => Msg::FragAnnounce { frag: r.packed(), me: r.word() },
             TAG_PROBE => Msg::Probe { ttl: r.packed() as u32 },
             TAG_MWOE_UP => {
@@ -525,7 +523,6 @@ impl Message for Msg {
             TAG_SYNC_NO_FLOOD => Msg::SyncNoFlood { phase: r.word() as u32 },
             TAG_SYNC_UP => Msg::SyncUp { phase: r.word() as u32 },
             TAG_SYNC_START => Msg::SyncStart { phase: r.word() as u32, start: r.word() },
-            TAG_INTERVAL => Msg::Interval { start: r.packed(), size: r.word() },
             TAG_REGISTER => Msg::Register { slot: r.packed() },
             TAG_REG_DONE => Msg::RegDone,
             TAG_INIT_COARSE => Msg::InitCoarse { id: r.packed() },
@@ -582,7 +579,7 @@ mod tests {
         let samples = [
             Msg::Bfs,
             Msg::SizeUp { size: 1, height: 2 },
-            Msg::Params { n: 1, h: 2, k: 3, t0: 4 },
+            Msg::Params { n: 1, h: 2, k: 3, t0: 4, start: 5 },
             Msg::FragAnnounce { frag: 1, me: 2 },
             Msg::MwoeUp { cand: Some(CandKey::new(1, 2, 3)), overflow: false },
             Msg::FragMwoeUp { cand: Some((CandKey::new(1, 2, 3), 4, 5)) },

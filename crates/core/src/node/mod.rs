@@ -5,12 +5,14 @@
 //!
 //! * **Stage A** (`stage_a.rs`): BFS tree from the designated root, subtree
 //!   size/height convergecast, broadcast of the agreed parameters
-//!   `(n, H, k, t0)` (paper §3, "auxiliary BFS tree").
+//!   `(n, H, k, t0)` that also hands every vertex its routing interval
+//!   (paper §3, "auxiliary BFS tree").
 //! * **Stage B** (`stage_b.rs`): Controlled-GHS on the fixed round schedule
 //!   of [`Schedule`](crate::schedule::Schedule), producing the
 //!   `(O(n/k), O(k))` base MST forest (paper §4).
-//! * **Stage C** (`stage_cd.rs`): interval labeling of the BFS tree and
-//!   pipelined registration of base-fragment roots (paper §3).
+//! * **Stage C** (`stage_cd.rs`): pipelined registration of base-fragment
+//!   roots with the BFS root and the `InitCoarse` flood down each base
+//!   fragment (paper §3); it lasts as long as the deepest fragment tree.
 //! * **Stage D** (`stage_cd.rs`): Borůvka phases over the base forest with
 //!   pipelined, filtered candidate upcasts and interval-routed downcasts
 //!   (paper §3). Phases are *fused*: there is no per-phase barrier — every
@@ -263,8 +265,6 @@ pub(crate) struct BScratch {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CState {
     pub entered: bool,
-    pub interval_received: bool,
-    pub registered: bool,
     pub reg_queue: VecDeque<u64>,
     pub reg_done_children: usize,
     pub reg_done_sent: bool,
@@ -364,9 +364,12 @@ pub struct ElkinNode {
 
     pub(crate) b: BScratch,
 
-    // Stage C/D state.
+    // Routing interval (assigned in stage A, used in C/D): my own slot
+    // and my BFS children's `(start, size)` sub-intervals.
     pub(crate) slot: u64,
     pub(crate) child_ivs: Vec<(u64, u64)>,
+
+    // Stage C/D state.
     pub(crate) coarse: u64,
     /// `Some(j)`: the coarse id is current for phase `j` (always equal to
     /// `d.phase` once initialized — the roll and the id update are one
@@ -402,12 +405,13 @@ pub struct ElkinNode {
 pub struct Milestones {
     /// Entered Stage B (Controlled-GHS) — end of Stage A.
     pub entered_b: u64,
-    /// Entered Stage C (intervals/registration) — end of Stage B.
+    /// Entered Stage C (registration) — end of Stage B.
     pub entered_cd: u64,
-    /// Received the initial coarse id (`InitCoarse`, or owning a slot at a
-    /// fragment root) — this vertex can announce Borůvka phase 0, so its
-    /// Stage C is over. Under the fused protocol the registration pipeline
-    /// may still be draining elsewhere; the boundary is per-vertex.
+    /// Received the initial coarse id (`InitCoarse`, or at a fragment root
+    /// its own slot on entering Stage C) — this vertex can announce
+    /// Borůvka phase 0, so its Stage C is over. Under the fused protocol
+    /// the registration pipeline may still be draining elsewhere; the
+    /// boundary is per-vertex.
     pub entered_d: u64,
     /// Reached the finished state.
     pub finished_at: u64,

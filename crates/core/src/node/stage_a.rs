@@ -1,12 +1,18 @@
 //! Stage A: BFS tree construction, size/height convergecast, parameter
 //! broadcast (paper §3, the auxiliary tree `τ` and its preprocessing).
 //!
+//! The parameter broadcast also hands out the routing intervals: each
+//! child's `Params` carries the first slot of its interval, cut from the
+//! parent's by the subtree sizes the convergecast just gathered. Every
+//! vertex therefore holds its slot before Stage B starts.
+//!
 //! Costs: `O(D)` rounds (BFS wave down, convergecast up, broadcast down) and
 //! `O(m)` messages (each edge carries at most one `Bfs` per direction plus
 //! `O(n)` tree messages), matching the paper's accounting for this step.
 
 use congest_sim::RoundCtx;
 
+use crate::intervals;
 use crate::msg::Msg;
 use crate::schedule::{choose_k, choose_k_adaptive, Params, Schedule, ScheduleMode};
 
@@ -48,11 +54,8 @@ impl ElkinNode {
                         self.a_report(ctx);
                     }
                 }
-                Msg::Params { n, h, k, t0 } => {
-                    self.a_adopt_params(Params { n, h, k, t0 });
-                    for &p in &self.bfs_children.clone() {
-                        ctx.send(p, Msg::Params { n, h, k, t0 });
-                    }
+                Msg::Params { n, h, k, t0, start } => {
+                    self.a_adopt_params(ctx, Params { n, h, k, t0 }, start);
                 }
                 _ => unreachable!("stage A received {msg:?}"),
             }
@@ -115,15 +118,23 @@ impl ElkinNode {
                 ScheduleMode::Adaptive => choose_k_adaptive(n, self.cfg.bandwidth),
             });
             let t0 = ctx.round() + h + 2;
-            let params = Params { n, h, k, t0 };
-            self.a_adopt_params(params);
-            for &p in &self.bfs_children.clone() {
-                ctx.send(p, Msg::Params { n, h, k, t0 });
-            }
+            self.a_adopt_params(ctx, Params { n, h, k, t0 }, 0);
         }
     }
 
-    fn a_adopt_params(&mut self, params: Params) {
+    /// Adopt the global parameters and my interval's first slot `start`
+    /// (the root's interval is `[0, n)`), then pass both on: each BFS
+    /// child gets the start of its sub-interval.
+    fn a_adopt_params(&mut self, ctx: &mut RoundCtx<'_, Msg>, params: Params, start: u64) {
+        // `Params` only arrives after my own `SizeUp`, so `child_sizes`
+        // is complete.
+        debug_assert!(self.a.reported);
+        self.slot = start;
+        self.child_ivs = intervals::assign_children(start, &self.child_sizes);
+        let Params { n, h, k, t0 } = params;
+        for (&(start, _), &q) in self.child_ivs.iter().zip(&self.bfs_children) {
+            ctx.send(q, Msg::Params { n, h, k, t0, start });
+        }
         self.sched = Some(Schedule::new(&params, self.cfg.merge_control, self.cfg.schedule_mode));
         self.params = Some(params);
     }

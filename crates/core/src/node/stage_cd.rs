@@ -1,5 +1,6 @@
-//! Stages C and D: interval labeling, fragment registration, and the
-//! fused, event-driven Borůvka phases over the base forest (paper §3).
+//! Stages C and D: fragment registration and the fused, event-driven
+//! Borůvka phases over the base forest (paper §3). The routing intervals
+//! they use were assigned in Stage A.
 //!
 //! Unlike Stage B, these stages are *event-driven*: every sub-step triggers
 //! on local completion events. Since PR 3 the Borůvka phases are **fused**
@@ -52,7 +53,10 @@ use crate::msg::Msg;
 use super::{DScratch, ElkinNode, Sel, UNKNOWN};
 
 impl ElkinNode {
-    /// Called once when Stage B's schedule ends.
+    /// Called once when Stage B's schedule ends. Every vertex already holds
+    /// its slot (Stage A's `Params` carried it), so a base-fragment root
+    /// registers with the BFS root and initializes its fragment's coarse
+    /// id — which opens Borůvka phase 0 for it — right away.
     pub(crate) fn cd_enter(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         debug_assert!(!self.c.entered);
         self.c.entered = true;
@@ -65,22 +69,8 @@ impl ElkinNode {
         self.down = vec![std::collections::VecDeque::new(); self.bfs_children.len()];
         if self.is_bfs_root() {
             self.root = Some(Box::default());
-            self.cd_take_interval(ctx, 0);
-        }
-    }
-
-    /// Receive my interval, hand sub-intervals to my BFS children, and (if I
-    /// root a base fragment) register with the BFS root and initialize my
-    /// fragment's coarse id — which opens Borůvka phase 0 for me.
-    fn cd_take_interval(&mut self, ctx: &mut RoundCtx<'_, Msg>, start: u64) {
-        self.slot = start;
-        self.c.interval_received = true;
-        self.child_ivs = crate::intervals::assign_children(start, &self.child_sizes);
-        for (&(cstart, size), &q) in self.child_ivs.iter().zip(&self.bfs_children) {
-            ctx.send(q, Msg::Interval { start: cstart, size });
         }
         if self.is_frag_root() {
-            self.c.registered = true;
             let slot = self.slot;
             if let Some(root) = self.root.as_mut() {
                 root.slots.push(slot);
@@ -100,7 +90,6 @@ impl ElkinNode {
     pub(crate) fn cd_handle(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         for &(port, ref msg) in ctx.inbox() {
             match *msg {
-                Msg::Interval { start, .. } => self.cd_take_interval(ctx, start),
                 Msg::InitCoarse { id } => {
                     self.coarse = id;
                     self.coarse_ready = Some(0);
@@ -236,10 +225,7 @@ impl ElkinNode {
     pub(crate) fn cd_act(&mut self, ctx: &mut RoundCtx<'_, Msg>) {
         // --- Stage C: root-side registration completion (gates merge 0).
         if let Some(root) = self.root.as_mut() {
-            if !root.reg_complete
-                && self.c.interval_received
-                && root.reg_done_children == self.bfs_children.len()
-            {
+            if !root.reg_complete && root.reg_done_children == self.bfs_children.len() {
                 root.reg_complete = true;
                 root.slots.sort_unstable();
             }
@@ -281,7 +267,7 @@ impl ElkinNode {
         }
 
         // (c) Stage C registration pipeline toward the BFS root.
-        if self.c.interval_received && !self.c.reg_done_sent {
+        if !self.c.reg_done_sent {
             if let Some(parent) = self.bfs_parent {
                 while let Some(&slot) = self.c.reg_queue.front() {
                     if ctx.try_send(parent, Msg::Register { slot }).is_err() {
@@ -289,9 +275,7 @@ impl ElkinNode {
                     }
                     self.c.reg_queue.pop_front();
                 }
-                let my_duty = !self.is_frag_root() || self.c.registered;
-                if my_duty
-                    && self.c.reg_queue.is_empty()
+                if self.c.reg_queue.is_empty()
                     && self.c.reg_done_children == self.bfs_children.len()
                     && ctx.try_send(parent, Msg::RegDone).is_ok()
                 {
@@ -368,9 +352,7 @@ impl ElkinNode {
     pub(crate) fn cd_next_wake(&self, after: u64) -> Option<u64> {
         // Root-side registration-completion latch.
         let root_latch_pending = self.root.as_ref().is_some_and(|root| {
-            !root.reg_complete
-                && self.c.interval_received
-                && root.reg_done_children == self.bfs_children.len()
+            !root.reg_complete && root.reg_done_children == self.bfs_children.len()
         });
         // (a) announce the current phase.
         let announce_pending =
@@ -381,12 +363,10 @@ impl ElkinNode {
             && self.d.ann_recv == self.deg
             && self.d.frag_up_recv == self.frag_children.len();
         // (c) registration pipeline: queued slots, or a due `RegDone`.
-        let register_pending = self.c.interval_received
-            && !self.c.reg_done_sent
+        let register_pending = !self.c.reg_done_sent
             && self.bfs_parent.is_some()
             && (!self.c.reg_queue.is_empty()
-                || ((!self.is_frag_root() || self.c.registered)
-                    && self.c.reg_done_children == self.bfs_children.len()));
+                || self.c.reg_done_children == self.bfs_children.len());
         // (d) candidate pipeline flush.
         let upcast_pending = self.bfs_parent.is_some() && !self.d.up_pending.is_empty();
         // (e) `UpDone` / root-local merge. The BFS root also fires when the

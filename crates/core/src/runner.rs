@@ -69,7 +69,8 @@ pub struct StageProfile {
     pub stage_a: u64,
     /// Rounds spent in Stage B (Controlled-GHS).
     pub stage_b: u64,
-    /// Rounds spent in Stage C (intervals + registration).
+    /// Rounds spent in Stage C (registration): the height of the deepest
+    /// base-fragment tree, which `InitCoarse` floods down.
     pub stage_c: u64,
     /// Rounds spent in Stage D (Borůvka phases) until global quiescence.
     pub stage_d: u64,

@@ -31,7 +31,7 @@ fn check(m: &Msg) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Deterministically builds one of the 39 variants from raw components.
+/// Deterministically builds one of the 38 variants from raw components.
 /// `small*` feed packed (tag-word) fields, `big*` feed full-word fields.
 #[allow(clippy::too_many_arguments)]
 fn build(
@@ -51,7 +51,7 @@ fn build(
         0 => Msg::Bfs,
         1 => Msg::BfsChild,
         2 => Msg::SizeUp { size: id, height: big },
-        3 => Msg::Params { n: id, h: big, k: big2, t0: big3 },
+        3 => Msg::Params { n: id, h: big, k: big2, t0: big3, start: id2 },
         4 => Msg::FragAnnounce { frag: id, me: big },
         5 => Msg::Probe { ttl: small },
         6 => Msg::MwoeUp { cand: flag.then_some(key), overflow: flag2 },
@@ -75,21 +75,20 @@ fn build(
         24 => Msg::SyncNoFlood { phase: small },
         25 => Msg::SyncUp { phase: small },
         26 => Msg::SyncStart { phase: small, start: big },
-        27 => Msg::Interval { start: id, size: big },
-        28 => Msg::Register { slot: id },
-        29 => Msg::RegDone,
-        30 => Msg::InitCoarse { id },
-        31 => Msg::CoarseAnnounce { coarse: id, me: big },
-        32 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
-        33 => Msg::Candidate {
+        27 => Msg::Register { slot: id },
+        28 => Msg::RegDone,
+        29 => Msg::InitCoarse { id },
+        30 => Msg::CoarseAnnounce { coarse: id, me: big },
+        31 => Msg::FragMwoeUp { cand: flag.then_some((key, id2, big)) },
+        32 => Msg::Candidate {
             rec: Candidate { key, src_coarse: big, dst_coarse: big2, src_slot: id },
         },
-        34 => Msg::UpDone,
-        35 => {
+        33 => Msg::UpDone,
+        34 => {
             Msg::Assign { dest_slot: big, new_coarse: big2, chosen: flag, done: flag2, next: big3 }
         }
-        36 => Msg::NewCoarse { id: big, done: flag, next: big2 },
-        37 => Msg::MarkPath,
+        35 => Msg::NewCoarse { id: big, done: flag, next: big2 },
+        36 => Msg::MarkPath,
         _ => Msg::MarkCross,
     }
 }
@@ -101,7 +100,7 @@ proptest! {
     /// between one and `UNIT_WORDS` words.
     #[test]
     fn msg_roundtrip(
-        sel in 0usize..39,
+        sel in 0usize..38,
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),
@@ -118,7 +117,7 @@ proptest! {
     /// each consuming its own span.
     #[test]
     fn msg_ring_roundtrip(
-        sels in proptest::collection::vec(0usize..39, 1..8),
+        sels in proptest::collection::vec(0usize..38, 1..8),
         small in any::<u32>(),
         small2 in any::<u32>(),
         big in any::<u64>(),

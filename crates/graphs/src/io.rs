@@ -72,8 +72,9 @@ impl From<GraphError> for IoError {
 /// # Errors
 ///
 /// [`IoError::Parse`] on malformed lines, missing/duplicate `p` lines, a
-/// wrong edge count, or out-of-range endpoints; [`IoError::Graph`] if the
-/// edge list is not a simple graph.
+/// `p` line beyond the simulator's size caps (`n` or `2m` over
+/// `u32::MAX`), a wrong edge count, or out-of-range endpoints;
+/// [`IoError::Graph`] if the edge list is not a simple graph.
 ///
 /// ```
 /// let text = "c tiny\np edge 3 2\ne 1 2 7\ne 2 3 9\n";
@@ -108,8 +109,15 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<WeightedGraph, IoError> {
                 }
                 let n = parse_num(parts.next(), lineno, "vertex count")?;
                 let m = parse_num(parts.next(), lineno, "edge count")?;
+                // The simulator's caps (`congest_sim::Topology::new`),
+                // checked before the header sizes any allocation.
+                if n > u64::from(u32::MAX) || m > u64::from(u32::MAX) / 2 {
+                    return Err(IoError::Parse {
+                        line: lineno,
+                        msg: format!("graph too large: n = {n}, m = {m} (need n, 2m <= 2^32 - 1)"),
+                    });
+                }
                 header = Some((n as usize, m as usize));
-                edges.reserve(m as usize);
             }
             Some("e") | Some("a") => {
                 let (n, _) = header
@@ -198,6 +206,12 @@ mod tests {
             ("p edge 2 1\ne 1 x 3\n", "bad endpoint"),
             ("p edge 2 1\nq 1 2 3\n", "unexpected token"),
             ("", "missing p line"),
+            // Sizes past the caps are rejected before anything is sized
+            // from them. Never add a row that would really allocate.
+            ("p edge 4294967296 1\n", "graph too large"),
+            ("p edge 18446744073709551615 1\n", "graph too large"),
+            ("p edge 2 2147483648\n", "graph too large"),
+            ("p edge 2 18446744073709551615\n", "graph too large"),
         ];
         for (text, needle) in cases {
             let err = parse_dimacs(text.as_bytes()).unwrap_err();

@@ -157,3 +157,36 @@ fn pipelines_follow_words_per_unit() {
         stats.peak_edge_words
     );
 }
+
+/// Stage C is only the `InitCoarse` flood down each base fragment (every
+/// vertex holds its routing interval from Stage A), so it lasts exactly
+/// as many rounds as the deepest base-fragment tree.
+#[test]
+fn stage_c_lasts_the_deepest_fragment_tree() {
+    let mut graphs: Vec<(String, WeightedGraph)> =
+        standard_trio(256, 0x51).into_iter().map(|w| (w.name, w.graph)).collect();
+    graphs.push((
+        "cliquepath 128x8".into(),
+        gen::path_of_cliques(128, 8, &mut gen::WeightRng::new(0x51)),
+    ));
+    for cfg in [ElkinConfig::default(), ElkinConfig::fixed()] {
+        for (label, g) in &graphs {
+            let forest = run_forest(g, &cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let depth_of = |mut v: usize| {
+                let mut d = 0;
+                while let Some(p) = forest.parent_of[v] {
+                    v = p;
+                    d += 1;
+                }
+                d
+            };
+            let deepest = (0..g.num_nodes()).map(depth_of).max().unwrap_or(0);
+            let run = run_mst(g, &cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(
+                run.profile.stage_c, deepest,
+                "{label} ({:?}): Stage C rounds vs deepest base-fragment tree",
+                cfg.schedule_mode
+            );
+        }
+    }
+}
