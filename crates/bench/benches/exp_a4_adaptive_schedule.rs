@@ -5,13 +5,15 @@
 //! each sub-step. `ScheduleMode::Adaptive` (a) tightens each window to the
 //! provable minimum, (b) ends a phase by a BFS-tree sync as soon as every
 //! merge flood has settled whenever that beats the worst-case flood
-//! window, and (c) shrinks `k` back to `sqrt(n/b)` on high-diameter
-//! inputs. The output MST is identical by construction (conformance-tested
-//! in both modes); this ablation measures the round savings.
+//! window, and (c) picks `k` by a round-cost model: `sqrt(n/b)` on
+//! high-diameter inputs (instead of the paper's `Θ(H)`), usually a smaller
+//! power of two on low-diameter ones. The output MST is identical by
+//! construction (conformance-tested in both modes); this ablation measures
+//! the round savings.
 //!
 //! Expected shape: the high-diameter cliquepath — where the paper's
 //! `k = Θ(H)` choice makes Stage B dominate — collapses by >= 3x; tori and
-//! random graphs improve by the window-tightening margin.
+//! random graphs gain the window-tightening margin plus the smaller `k`.
 
 use dmst_bench::{banner, f3, header, row, standard_trio};
 use dmst_core::{run_mst, ElkinConfig};
@@ -58,6 +60,7 @@ fn main() {
     println!(
         "\nshape check: every speedup column is >= 1; the n=2304 cliquepath\n\
          (k follows H under Fixed) drops from ~51k rounds to <= 1/3 of that;\n\
-         adaptive k equals the fixed k wherever H <= sqrt(n/b)."
+         adaptive k is sqrt(n/b) wherever H > sqrt(n/b) and at most the\n\
+         fixed k elsewhere."
     );
 }

@@ -151,10 +151,10 @@ fn gate() {
         run_mst(&g, &ElkinConfig::default()).unwrap()
     });
     println!("gate: end_to_end wire words {:>27}", run.stats.wire_words);
-    assert_eq!(run.stats.rounds, 5735, "gate workload rounds moved; re-pin deliberately");
-    assert_eq!(run.stats.messages, 3_295_942, "gate workload messages moved; re-pin deliberately");
+    assert_eq!(run.stats.rounds, 1259, "gate workload rounds moved; re-pin deliberately");
+    assert_eq!(run.stats.messages, 2_246_312, "gate workload messages moved; re-pin deliberately");
     assert_eq!(
-        run.stats.wire_words, 5_048_308,
+        run.stats.wire_words, 3_803_238,
         "gate workload wire words moved; re-pin deliberately"
     );
 

@@ -14,11 +14,14 @@ pub struct ElkinConfig {
     /// The `b` of `CONGEST(b log n)` (Theorem 3.2). Must be positive.
     pub bandwidth: u32,
     /// Override the base-forest parameter `k` (experiments F5/A3 sweep it);
-    /// `None` selects the paper's choice via
-    /// [`choose_k`](crate::schedule::choose_k) (or
-    /// [`choose_k_adaptive`](crate::schedule::choose_k_adaptive) under
-    /// [`ScheduleMode::Adaptive`]). `k = 1` skips Controlled-GHS entirely
-    /// (singleton base forest).
+    /// it wins over every automatic choice. `None` selects the paper's
+    /// `max(sqrt(n/b), H)` ([`choose_k`](crate::schedule::choose_k)) under
+    /// [`ScheduleMode::Fixed`], and under [`ScheduleMode::Adaptive`] the
+    /// round-cost model of
+    /// [`choose_k_adaptive`](crate::schedule::choose_k_adaptive) (a power
+    /// of two below `sqrt(n/b)` on most low-diameter graphs; `sqrt(n/b)`
+    /// on high-diameter graphs and under uncontrolled merging). `k = 1`
+    /// skips Controlled-GHS entirely (singleton base forest).
     pub k_override: Option<u64>,
     /// The designated BFS root (see DESIGN.md on the leader-election
     /// assumption).
@@ -29,7 +32,7 @@ pub struct ElkinConfig {
     /// Stage B round-scheduling discipline (experiment A4 ablates it).
     /// [`ScheduleMode::Adaptive`] tightens the per-window constants, ends
     /// phases by a BFS-tree sync when that is cheaper than the worst-case
-    /// flood window, and shrinks `k` on high-diameter inputs — without
+    /// flood window, and picks `k` by a round-cost model — without
     /// changing the output MST (conformance-tested in both modes).
     pub schedule_mode: ScheduleMode,
     /// Stop after Stage B, leaving the `(O(n/k), O(k))` base forest as the

@@ -14,7 +14,9 @@ use congest_sim::RoundCtx;
 
 use crate::intervals;
 use crate::msg::Msg;
-use crate::schedule::{choose_k, choose_k_adaptive, Params, Schedule, ScheduleMode};
+use crate::schedule::{
+    choose_k, choose_k_adaptive, sqrt_nb, MergeControl, Params, Schedule, ScheduleMode,
+};
 
 use super::{ElkinNode, Stage};
 
@@ -113,9 +115,15 @@ impl ElkinNode {
             // BFS root: size is n, height is H.
             let n = size;
             let h = height;
-            let k = self.cfg.k_override.unwrap_or_else(|| match self.cfg.schedule_mode {
-                ScheduleMode::Fixed => choose_k(n, h, self.cfg.bandwidth),
-                ScheduleMode::Adaptive => choose_k_adaptive(n, self.cfg.bandwidth),
+            let b = self.cfg.bandwidth;
+            let k = self.cfg.k_override.unwrap_or_else(|| {
+                match (self.cfg.schedule_mode, self.cfg.merge_control) {
+                    (ScheduleMode::Fixed, _) => choose_k(n, h, b),
+                    (ScheduleMode::Adaptive, MergeControl::Matched) => choose_k_adaptive(n, h, b),
+                    // Uncontrolled merging's nominal Θ(n) flood windows
+                    // would mislead the round-cost model.
+                    (ScheduleMode::Adaptive, MergeControl::Uncontrolled) => sqrt_nb(n, b),
+                }
             });
             let t0 = ctx.round() + h + 2;
             self.a_adopt_params(ctx, Params { n, h, k, t0 }, 0);

@@ -23,6 +23,9 @@ pub enum RunError {
         /// Number of vertices.
         n: usize,
     },
+    /// The configured bandwidth `b` is zero; `CONGEST(b log n)` needs
+    /// `b >= 1`.
+    ZeroBandwidth,
     /// The simulator rejected the execution (bandwidth violation, empty
     /// message or round cap — each indicates a protocol bug, not an input
     /// problem).
@@ -39,6 +42,7 @@ impl fmt::Display for RunError {
             RunError::InvalidRoot { root, n } => {
                 write!(f, "root {root} out of range for {n} vertices")
             }
+            RunError::ZeroBandwidth => write!(f, "bandwidth must be at least 1"),
             RunError::Sim(e) => write!(f, "simulation failed: {e}"),
             RunError::BadOutput(msg) => write!(f, "inconsistent output: {msg}"),
         }
@@ -115,6 +119,9 @@ pub struct ForestRun {
 }
 
 fn network_for(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<Network<ElkinNode>, RunError> {
+    if cfg.bandwidth == 0 {
+        return Err(RunError::ZeroBandwidth);
+    }
     if cfg.root >= g.num_nodes().max(1) {
         return Err(RunError::InvalidRoot { root: cfg.root, n: g.num_nodes() });
     }
@@ -188,8 +195,8 @@ pub fn run_mst(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<MstRun, RunError>
         )));
     }
 
-    let sample = &net.nodes()[cfg.root];
-    let k = sample.chosen_k().unwrap_or(1);
+    // The empty graph (n = 0) has no root vertex: k = 1, height 0.
+    let k = net.nodes().get(cfg.root).and_then(ElkinNode::chosen_k).unwrap_or(1);
     let bfs_height = net.nodes().iter().map(|nd| nd.bfs_depth()).max().unwrap_or(0);
     let total_weight = g.total_weight(edges.iter().copied());
 
@@ -237,8 +244,7 @@ pub fn run_forest(g: &WeightedGraph, cfg: &ElkinConfig) -> Result<ForestRun, Run
         .enumerate()
         .map(|(v, nd)| nd.bfs_parent_port().map(|p| topo.ports(v)[p].neighbor))
         .collect();
-    let sample = &net.nodes()[cfg.root];
-    let k = sample.chosen_k().unwrap_or(1);
+    let k = net.nodes().get(cfg.root).and_then(ElkinNode::chosen_k).unwrap_or(1);
     let bfs_height = net.nodes().iter().map(|nd| nd.bfs_depth()).max().unwrap_or(0);
     Ok(ForestRun { fragment_of, parent_of, bfs_parent_of, stats, k, bfs_height })
 }

@@ -62,8 +62,10 @@
 //! is unbounded — that blow-up is exactly what the ablation demonstrates
 //! (and exactly where sync-ended phases help most).
 
+use std::cmp::Reverse;
+
 use crate::cv::steps_to_six;
-use crate::util::{ceil_log2, isqrt};
+use crate::util::{ceil_log2, div_ceil, isqrt};
 
 /// Whether Controlled-GHS merges via maximal matching (the paper) or merges
 /// every fragment along its MWOE (ablation A1).
@@ -83,10 +85,12 @@ pub enum ScheduleMode {
     /// The seed behaviour: padded windows, every phase sleeps out its
     /// worst case, `k = max(sqrt(n/b), H)`.
     Fixed,
-    /// Tightened windows, per-phase scheduled-vs-sync ends, and the
-    /// adaptive-k choice [`choose_k_adaptive`]. The default since PR 3
-    /// (soaked through two PRs of conformance coverage); `Fixed` stays a
-    /// supported knob and remains in the conformance matrix.
+    /// Tightened windows, per-phase scheduled-vs-sync ends, and `k` from
+    /// the round-cost model of [`choose_k_adaptive`] (usually well below
+    /// `sqrt(n/b)` on low-diameter graphs; exactly `sqrt(n/b)` on
+    /// high-diameter graphs and under uncontrolled merging). The default;
+    /// `Fixed` stays a supported knob and remains in the conformance
+    /// matrix.
     #[default]
     Adaptive,
 }
@@ -110,26 +114,84 @@ pub struct Params {
 /// `max(sqrt(n/b), H)` with the BFS height `H` standing in for `D`
 /// (`H <= D <= 2H`). Always at least 1.
 pub fn choose_k(n: u64, h: u64, bandwidth: u32) -> u64 {
-    let nb = n.div_euclid(u64::from(bandwidth.max(1))).max(1);
-    isqrt(nb).max(h).max(1)
+    sqrt_nb(n, bandwidth).max(h)
 }
 
-/// The adaptive-k heuristic ([`ScheduleMode::Adaptive`]): `k = sqrt(n/b)`
-/// in *both* regimes — the way it "accounts for" the measured `H` is
-/// precisely by refusing to follow it up on high-diameter graphs (where
-/// `choose_k` returns `H`), which is why it takes no `h` argument.
+/// The `sqrt(n/b)` term of the paper's choice, at least 1.
+pub(crate) fn sqrt_nb(n: u64, bandwidth: u32) -> u64 {
+    isqrt(n / u64::from(bandwidth.max(1))).max(1)
+}
+
+/// The adaptive k ([`ScheduleMode::Adaptive`] with matched merging): the
+/// `k` that minimises a fitted round-cost model of Stages B and D.
 ///
-/// The paper inflates `k` to `Θ(H)` in the large-diameter regime so the
-/// Stage D pipeline term `n/(kb)` stays below `D`. But once
-/// `k >= sqrt(n/b)` that term is `<= sqrt(n/b) <= max(D, sqrt(n/b))`
-/// anyway, while every extra Controlled-GHS phase the larger `k` buys
-/// costs `Θ(2^i)` scheduled rounds — with adaptive phase ends the Stage B
-/// windows are the bottleneck on exactly those graphs. So
-/// `choose_k_adaptive(n, b) = choose_k(n, h, b)` whenever `H <= sqrt(n/b)`
-/// and shrinks to `sqrt(n/b)` otherwise.
-pub fn choose_k_adaptive(n: u64, bandwidth: u32) -> u64 {
-    let nb = n.div_euclid(u64::from(bandwidth.max(1))).max(1);
-    isqrt(nb).max(1)
+/// **High-diameter regime** (`H > sqrt(n/b)`, the paper's §3 split):
+/// `k = sqrt(n/b)`. The paper inflates `k` to `Θ(H)` there so the Stage D
+/// pipeline term `n/(kb)` stays below `D`, but once `k >= sqrt(n/b)` that
+/// term is `<= sqrt(n/b) < H` anyway, while every extra Controlled-GHS
+/// phase costs `Θ(2^i)` rounds. A smaller `k` does not pay either: on
+/// every high-diameter graph measured, a `k` that saved rounds raised
+/// messages and wire words (cliquepath 32x8, k 16 → 4: rounds -21%,
+/// messages +6%, wire words +48%).
+///
+/// **Low-diameter regime** (`H <= sqrt(n/b)`): the two terms of the
+/// paper's bound balance asymptotically at `sqrt(n/b)`, but their
+/// constants are far apart — Stage B costs about 42 rounds per unit of
+/// `k`, Stage D well under one round per base fragment. The candidates
+/// are `k = 2^j` (`j >= 1`, `2^j < sqrt(n/b)`) plus `sqrt(n/b)` itself;
+/// `k` reaches the protocol only through `ceil(log2 k)` phases. Each
+/// costs
+///
+/// * Stage B: [`Schedule::end`] of the adaptive schedule for that `k`
+///   (closed form; within 5% of the measured Stage B), plus
+/// * Stage D: `c_H · H · ceil(log2 ceil(n/k)) + c_f · ceil(n/(k·b))`,
+///   an `O(H)` tree traversal per Borůvka phase plus the pipelined
+///   upcast of every base fragment's candidate,
+///
+/// with `c_H = 3/4` and `c_f = 5/8` (evaluated in eighths, integers
+/// only). The argmin wins; on a tie the larger `k` (fewer base
+/// fragments, less Stage D state).
+///
+/// The constants come from `k_override` sweeps (release, matched,
+/// adaptive; Stage D rounds by `n/k`):
+///
+/// | graph | H | b | 8192 | 4096 | 2048 | 1152 | 1024 | 576 | 512 | 288 | 256 | 144 |
+/// |---|---|---|---|---|---|---|---|---|---|---|---|---|
+/// | random n=16384, 4 seeds | 7–8 | 1 | 4401–6048 | 1532–2261 | 617–935 | | 297–511 | | 229–329 | | | |
+/// | random n=4096 | 6 | 1 | | | 1318 | | 439 | | 246 | | 138 | |
+/// | random n=4096 | 6 | 4 | | | | | 146 | | 134 | | 127 | |
+/// | random n=2304 | 5 | 1 | | | | 796 | | 248 | | 157 | | 85 |
+/// | torus 48x48 | 48 | 1 | | | | 1806 | | 882 | | 474 | | 327 |
+/// | snake 48x48 | 48 | 1 | | | | 871 | | 425 | | 217 | | 147 |
+///
+/// (random n=65536, H = 8: 16384 → 6892, 8192 → 3136, 4096 → 1341,
+/// 2048 → 509.) Stage D grows faster than linearly in `n/k`, so the
+/// least-squares line through these sweeps (`c_H ≈ 0.87`, `c_f ≈ 0.47`) is
+/// not what ranks candidates best. The constants were instead chosen on a
+/// grid (steps of 1/8 and 1/16) by how close the argmin lands to the best
+/// swept `k` over the same runs; 3/4 and 5/8 sit on the broad plateau
+/// where every row is within 19% of its best swept `k`. Examples: random
+/// n=16384 picks 16 (1259 rounds, against 5735 at `sqrt(n) = 128` and
+/// 1157 at the best `k = 8`); torus 48x48 picks 8 and random n=65536
+/// picks 32, each the best swept `k`.
+pub fn choose_k_adaptive(n: u64, h: u64, bandwidth: u32) -> u64 {
+    let top = sqrt_nb(n, bandwidth);
+    if h > top {
+        return top;
+    }
+    let b = u64::from(bandwidth.max(1));
+    let cost = |k: u64| {
+        let params = Params { n, h, k, t0: 0 };
+        let stage_b = Schedule::new(&params, MergeControl::Matched, ScheduleMode::Adaptive).end();
+        let phases = ceil_log2(div_ceil(n, k).max(1));
+        u128::from(8 * stage_b) + u128::from(6 * h * phases) + 5 * u128::from(div_ceil(n, k * b))
+    };
+    (1..)
+        .map(|j| 1u64 << j)
+        .take_while(|&k| k < top)
+        .chain([top])
+        .min_by_key(|&k| (cost(k), Reverse(k)))
+        .unwrap_or(top)
 }
 
 /// One scheduled window of a Controlled-GHS phase.
@@ -530,14 +592,29 @@ mod tests {
 
     #[test]
     fn choose_k_adaptive_shrinks_on_high_diameter() {
-        // Low diameter: identical to the paper's choice.
-        assert_eq!(choose_k_adaptive(1024, 1), choose_k(1024, 10, 1));
-        // High diameter: stays at sqrt(n/b) instead of following H.
-        assert_eq!(choose_k_adaptive(1024, 1), 32);
+        // H > sqrt(n/b): sqrt(n/b), not H (the paper's choice).
+        assert_eq!(choose_k_adaptive(1024, 100, 1), 32);
         assert_eq!(choose_k(1024, 100, 1), 100);
-        // Bandwidth still shrinks the sqrt term.
-        assert_eq!(choose_k_adaptive(1024, 4), 16);
-        assert_eq!(choose_k_adaptive(1, 1), 1);
+        // cliquepath_9216 (H = 2303) and cliquepath 288x8 (H = 575).
+        assert_eq!(choose_k_adaptive(9216, 2303, 1), 96);
+        assert_eq!(choose_k_adaptive(2304, 575, 1), 48);
+        // Bandwidth shrinks the sqrt term: sqrt(1024/4) = 16 < 20.
+        assert_eq!(choose_k_adaptive(1024, 20, 4), 16);
+        assert_eq!(choose_k_adaptive(1, 0, 1), 1);
+    }
+
+    #[test]
+    fn choose_k_adaptive_model_shrinks_low_diameter() {
+        // random n=16384 (H = 7): the measured best is 8, then 16.
+        assert!([8, 16].contains(&choose_k_adaptive(16384, 7, 1)));
+        // torus / snake 48x48 (H = 48 <= 48).
+        assert!(choose_k_adaptive(2304, 48, 1) <= 16);
+        // Every pick is a power of two below sqrt(n/b), or sqrt(n/b).
+        for (n, h, b) in [(16384, 7, 1), (2304, 5, 1), (65536, 8, 1), (4096, 6, 8), (3, 1, 1)] {
+            let k = choose_k_adaptive(n, h, b);
+            let top = sqrt_nb(n, b);
+            assert!(k == top || (k.is_power_of_two() && 2 <= k && k < top), "k = {k}");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use dmst_core::util::isqrt;
 use dmst_core::{
     choose_k, choose_k_adaptive, MergeControl, Params, Schedule, ScheduleMode, Window,
 };
@@ -105,7 +106,8 @@ proptest! {
     }
 
     /// choose_k honors both regimes and never returns zero; the adaptive
-    /// variant never exceeds it and ignores the H inflation.
+    /// choice stays within [1, sqrt(n/b)], keeps sqrt(n/b) exactly in the
+    /// high-diameter regime, and is a power of two (or sqrt(n/b)) below it.
     #[test]
     fn choose_k_sane(n in 1u64..1_000_000, h in 0u64..5_000, b in 1u32..64) {
         let k = choose_k(n, h, b);
@@ -114,12 +116,14 @@ proptest! {
         // k is never larger than max(h, sqrt(n)) + 1.
         let sq = (n as f64).sqrt() as u64 + 1;
         prop_assert!(k <= h.max(sq));
-        let ka = choose_k_adaptive(n, b);
-        prop_assert!(ka >= 1);
+        let top = isqrt(n / u64::from(b)).max(1);
+        let ka = choose_k_adaptive(n, h, b);
+        prop_assert!((1..=top).contains(&ka), "adaptive k = {} outside [1, {}]", ka, top);
         prop_assert!(ka <= k, "adaptive k must never exceed the paper's choice");
-        prop_assert!(ka <= sq, "adaptive k stays at the sqrt term");
-        if h <= ka {
-            prop_assert_eq!(ka, k, "low-diameter regime: identical to the paper's choice");
+        if h > top {
+            prop_assert_eq!(ka, top, "high-diameter regime keeps sqrt(n/b)");
+        } else {
+            prop_assert!(ka == top || ka.is_power_of_two(), "k = {} is neither 2^j nor {}", ka, top);
         }
     }
 }

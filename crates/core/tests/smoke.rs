@@ -1,7 +1,9 @@
 //! End-to-end smoke tests of the full algorithm across graph families,
 //! bandwidths, and k overrides.
 
-use dmst_core::{analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl, ScheduleMode};
+use dmst_core::{
+    analyze_forest, run_forest, run_mst, ElkinConfig, MergeControl, RunError, ScheduleMode,
+};
 use dmst_graphs::{generators as gen, mst, WeightedGraph};
 
 fn check(g: &WeightedGraph, cfg: &ElkinConfig, label: &str) {
@@ -110,6 +112,39 @@ fn single_and_tiny_graphs() {
     let run = run_mst(&g1, &ElkinConfig::default()).unwrap();
     assert!(run.edges.is_empty());
     check(&gen::path(2, r), &ElkinConfig::default(), "n=2");
+}
+
+#[test]
+fn empty_graph_gives_empty_results() {
+    let g0 = WeightedGraph::new(0, vec![]).unwrap();
+    let run = run_mst(&g0, &ElkinConfig::default()).unwrap();
+    assert!(run.edges.is_empty());
+    assert_eq!((run.k, run.total_weight), (1, 0));
+    let forest = run_forest(&g0, &ElkinConfig::default()).unwrap();
+    assert!(forest.fragment_of.is_empty());
+    assert_eq!(forest.k, 1);
+}
+
+#[test]
+fn automatic_k_scope() {
+    // random n = 256 (H = 4 <= sqrt(n) = 16): only the adaptive matched
+    // default follows the round-cost model.
+    let g = gen::random_connected(256, 768, &mut gen::WeightRng::new(9));
+    let k = |cfg: ElkinConfig| run_mst(&g, &cfg).unwrap().k;
+    assert!(k(ElkinConfig::default()) < 16);
+    assert_eq!(k(ElkinConfig::fixed()), 16);
+    let uncontrolled =
+        ElkinConfig { merge_control: MergeControl::Uncontrolled, ..ElkinConfig::default() };
+    assert_eq!(k(uncontrolled), 16);
+    assert_eq!(k(ElkinConfig::with_k(5)), 5);
+}
+
+#[test]
+fn zero_bandwidth_is_rejected() {
+    let g = gen::path(4, &mut gen::WeightRng::new(2));
+    let cfg = ElkinConfig { bandwidth: 0, ..ElkinConfig::default() };
+    assert_eq!(run_mst(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
+    assert_eq!(run_forest(&g, &cfg).unwrap_err(), RunError::ZeroBandwidth);
 }
 
 #[test]

@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let n = g.num_nodes();
         let d = analysis::diameter_exact(&g);
         // The paper's regime-following k lives in the Fixed schedule; the
-        // (default) adaptive schedule deliberately pins k = sqrt(n/b).
+        // (default) adaptive schedule keeps k = sqrt(n/b) once H > sqrt(n/b)
+        // and picks a smaller k from its round-cost model below that.
         let run = run_mst(&g, &ElkinConfig::fixed())?;
         let sqrt_n = (n as f64).sqrt().round() as u64;
         let regime = if run.k > sqrt_n { "large-D" } else { "small-D" };

@@ -44,10 +44,10 @@ fn elkin_fixed_t1_trio_pins() {
 #[test]
 fn elkin_adaptive_t1_trio_pins() {
     let pins = [
-        RoundBudget::new(1007, 24710),
-        RoundBudget::new(875, 34217),
+        RoundBudget::new(305, 15556),
+        RoundBudget::new(196, 17446),
         RoundBudget::new(1382, 30080),
-        RoundBudget::new(916, 24548),
+        RoundBudget::new(228, 10891),
     ];
     let algo = Algorithm::Elkin(ElkinConfig::adaptive());
     for ((label, g), pin) in trio_256().iter().zip(&pins) {
